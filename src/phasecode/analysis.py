@@ -154,15 +154,17 @@ def seed_edge_ratio(c: float, d: int, conditioning: str = POPULATION_BAYES) -> f
 
 def giant_component_range(d: int, conditioning: str = POPULATION_BAYES) -> tuple[float, float]:
     """c interval on which the seed graph grows a linear-size component."""
-    if d < 3:
-        raise ParameterError("left degree must be at least 3")
+    if not 3 <= d <= 100:
+        raise ParameterError(f"left degree must be in 3..100 (c_max ~ d^2 <= 1e4), got {d}")
 
     def g(c):
         return seed_edge_ratio(c, d, conditioning) - 1.0
 
-    # the ratio rises from ~0 (tiny c: hardly any singletons), peaks, then
-    # falls (huge c: hardly any doubletons); find both crossings
-    lo, peak, hi = 1.05, 6.0, 1e4
+    # the ratio rises from ~0 (tiny c: hardly any singletons), peaks near c = d,
+    # then falls (huge c: hardly any doubletons); bracket both crossings at the
+    # best point of a log-spaced scan that stops where lam = d/c exceeds 30
+    lo, hi = max(1.05, d / 30), 1e4
+    peak = max((lo * (hi / lo) ** (i / 96) for i in range(97)), key=g)
     if g(peak) <= 0:
         raise ParameterError(f"no giant-component range for d={d}")
     c_min = brentq(g, lo, peak, xtol=1e-10)

@@ -37,7 +37,7 @@ from .core import (
     read_signal,
     write_signal,
 )
-from .decoder import decode_multicolor, decode_unicolor
+from .decoder import ALGORITHMS, get_decoder
 from .ensemble import build_balls_and_bins, build_crt
 from .fourier import (
     EXPLICIT_N_LIMIT,
@@ -68,7 +68,6 @@ RESIDUAL_SANITY = 1e-6  # recovered values must match truth this well
 
 @dataclass
 class ExperimentConfig:
-    mode: str = "simulate"
     n: int = 1_000_000
     K: int = 1000
     d: int = 7
@@ -84,21 +83,27 @@ class ExperimentConfig:
     value_model: str = "gaussian"
     threads: int = 1
 
+    def build_ensemble(self, seed: int = 0):
+        """The code matrix; ``seed`` draws a balls-and-bins code."""
+        if self.ensemble == "balls":
+            return build_balls_and_bins(self.n, self.M, self.d, seed)
+        if self.ensemble != "crt":
+            raise ParameterError(f"unknown ensemble {self.ensemble!r}; expected balls or crt")
+        if not self.coprimes:
+            raise ParameterError("crt ensemble needs --coprimes")
+        return build_crt(self.coprimes, self.alpha)
+
     def resolve(self) -> "ExperimentConfig":
         """Fill in derived fields and check internal consistency."""
-        if self.ensemble == "crt":
-            if not self.coprimes:
-                raise ParameterError("crt ensemble needs --coprimes")
-            ens = build_crt(self.coprimes, self.alpha)
+        if self.ensemble != "balls":
+            ens = self.build_ensemble()  # the CRT code fixes n, M and d
             self.n, self.M, self.d = ens.n, ens.M, ens.d
-        else:
-            if self.M is None:
-                if self.c is None:
-                    raise ParameterError("need either --bins or --c")
-                self.M = math.ceil(self.c * self.K)
+        elif self.M is None:
+            if self.c is None:
+                raise ParameterError("need either --bins or --c")
+            self.M = math.ceil(self.c * self.K)
         self.c = self.M / self.K if self.K else None
-        if self.algorithm not in ("unicolor", "multicolor"):
-            raise ParameterError(f"unknown algorithm {self.algorithm!r}")
+        get_decoder(self.algorithm)  # rejects unknown names
         if self.success_threshold is None:
             if self.K == 0:
                 self.success_threshold = 1.0
@@ -127,7 +132,7 @@ class ExperimentConfig:
                     setattr(cfg, key, tuple(int(v) for v in value.split(",") if v))
                 elif key in ("c", "success_threshold"):
                     setattr(cfg, key, float(value))
-                elif key in ("mode", "ensemble", "algorithm", "value_model"):
+                elif key in ("ensemble", "algorithm", "value_model"):
                     setattr(cfg, key, value)
                 else:
                     setattr(cfg, key, int(value))
@@ -192,16 +197,17 @@ def _trial_seeds(master: int, trial: int) -> tuple[int, int, int]:
     )
 
 
-def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
+def _trial_inputs(cfg: ExperimentConfig, trial: int):
+    """(signal seed, signal, ensemble, modulation params) of one trial."""
     sig_seed, ens_seed, mod_seed = _trial_seeds(cfg.seed, trial)
     signal = generate_signal(cfg.n, cfg.K, sig_seed, cfg.value_model)
-    if cfg.ensemble == "crt":
-        ens = build_crt(cfg.coprimes, cfg.alpha)
-    else:
-        ens = build_balls_and_bins(cfg.n, cfg.M, cfg.d, ens_seed)
-    params = ModulationParams.draw(cfg.n, mod_seed)
+    return sig_seed, signal, cfg.build_ensemble(ens_seed), ModulationParams.draw(cfg.n, mod_seed)
+
+
+def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
+    sig_seed, signal, ens, params = _trial_inputs(cfg, trial)
     meas = encode(signal, ens, params)
-    decode = decode_unicolor if cfg.algorithm == "unicolor" else decode_multicolor
+    decode = get_decoder(cfg.algorithm)
     t0 = time.perf_counter()
     res = decode(meas, ens, params, K_hint=cfg.K)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -213,7 +219,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         seed=sig_seed,
         status=res.status.value,
         fraction_recovered=res.fraction_recovered,
-        sweeps=res.iterations,
+        sweeps=res.stats.sweeps,
         wall_time_ms=wall_ms,
         success=bool(ok),
     )
@@ -277,7 +283,7 @@ def run_bench(
     """Decode-time scaling over K at fixed n; implicit ensembles only, so n
     can be astronomically large. Only the decode is timed."""
     rows = []
-    decode = decode_unicolor if algorithm == "unicolor" else decode_multicolor
+    decode = get_decoder(algorithm)
     for K in K_list:
         M = math.ceil(c * K)
         times = []
@@ -320,7 +326,7 @@ class ComparisonRow:
 def _comparison_trial(args) -> tuple[bool, bool]:
     coprimes, alpha, K, trial, seed, algorithm = args
     crt = build_crt(coprimes, alpha)
-    decode = decode_unicolor if algorithm == "unicolor" else decode_multicolor
+    decode = get_decoder(algorithm)
     sig_seed, ens_seed, mod_seed = _trial_seeds(mix64(seed, K), trial)
     signal = generate_signal(crt.n, K, sig_seed)
     params = ModulationParams.draw(crt.n, mod_seed)
@@ -345,6 +351,7 @@ def run_crt_comparison(
     under the CRT ensemble and under fresh balls-and-bins ensembles with the
     same (n, M, d). Success means full recovery."""
     coprimes = tuple(coprimes)
+    get_decoder(algorithm)  # reject an unknown name before any work
     rows = []
     for K in K_list:
         tasks = [(coprimes, alpha, K, t, seed, algorithm) for t in range(trials)]
@@ -471,7 +478,6 @@ def cmd_simulate(args) -> int:
             setattr(cfg, name, val)
     if args.coprimes:
         cfg.coprimes = tuple(int(v) for v in args.coprimes.split(","))
-    cfg.mode = "simulate"
     summary = run_simulation(cfg)
     if args.dump_dir and summary.records:
         _dump_first_trial(cfg, args.dump_dir)
@@ -497,13 +503,7 @@ def _dump_first_trial(cfg: ExperimentConfig, out_dir: str) -> None:
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    sig_seed, ens_seed, mod_seed = _trial_seeds(cfg.seed, 0)
-    signal = generate_signal(cfg.n, cfg.K, sig_seed, cfg.value_model)
-    if cfg.ensemble == "crt":
-        ens = build_crt(cfg.coprimes, cfg.alpha)
-    else:
-        ens = build_balls_and_bins(cfg.n, cfg.M, cfg.d, ens_seed)
-    params = ModulationParams.draw(cfg.n, mod_seed)
+    _, signal, ens, params = _trial_inputs(cfg, 0)
     write_signal(signal, os.path.join(out_dir, "trial0.signal"))
     write_measurements(encode(signal, ens, params), os.path.join(out_dir, "trial0.meas"))
 
@@ -534,16 +534,15 @@ def cmd_bench(args) -> int:
 def cmd_decode(args) -> int:
     signal = read_signal(args.signal) if args.signal else None
     meas = read_measurements(args.measurements, mode=args.mode)
-    if args.ensemble == "crt":
-        if not args.coprimes:
-            raise ParameterError("crt ensemble needs --coprimes")
-        ens = build_crt(tuple(int(v) for v in args.coprimes.split(",")), args.alpha)
-    else:
-        if args.bins is None or args.d is None or args.ens_seed is None:
-            raise ParameterError("balls ensemble needs --bins, --d and --ens-seed")
-        ens = build_balls_and_bins(meas.params.n, args.bins, args.d, args.ens_seed)
+    if args.ensemble == "balls" and None in (args.bins, args.d, args.ens_seed):
+        raise ParameterError("balls ensemble needs --bins, --d and --ens-seed")
+    coprimes = tuple(int(v) for v in args.coprimes.split(",")) if args.coprimes else ()
+    ens = ExperimentConfig(
+        n=meas.params.n, M=args.bins, d=args.d, ensemble=args.ensemble, coprimes=coprimes,
+        alpha=args.alpha,
+    ).build_ensemble(args.ens_seed)
     K = args.K if args.K is not None else (signal.k if signal else 0)
-    decode = decode_unicolor if args.algorithm == "unicolor" else decode_multicolor
+    decode = get_decoder(args.algorithm)
     t0 = time.perf_counter()
     res = decode(meas, ens, meas.params, K_hint=K)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -556,7 +555,7 @@ def cmd_decode(args) -> int:
             out.close()
     status = {
         "status": res.status.value,
-        "iterations": res.iterations,
+        "iterations": res.stats.sweeps,
         "fraction_recovered": res.fraction_recovered,
         "wall_time_ms": wall_ms,
     }
@@ -645,8 +644,7 @@ def cmd_ff_sim(args) -> int:
         ok_ff += res.status == RecoveryStatus.FULL_RECOVERY
         if args.paired:
             params = ModulationParams.draw(ens.n, mod_seed)
-            decode = decode_unicolor if args.algorithm == "unicolor" else decode_multicolor
-            res = decode(encode(sig, ens, params), ens, params, K_hint=args.K)
+            res = get_decoder(args.algorithm)(encode(sig, ens, params), ens, params, K_hint=args.K)
             ok_gen += res.status == RecoveryStatus.FULL_RECOVERY
     line = (
         f"coprimes={args.coprimes} n={ens.n} M={ens.M} K={args.K} "
@@ -703,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=["balls", "crt"], default=None)
     p.add_argument("--coprimes", type=str, default=None)
     p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--algorithm", choices=["unicolor", "multicolor"], default=None)
+    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p.add_argument("--success-threshold", dest="success_threshold", type=float, default=None)
     p.add_argument("--value-model", dest="value_model", choices=["gaussian", "unit"], default=None)
     p.add_argument("--dump-dir", type=str, default=None, help="write trial 0 signal/measurement files here")
@@ -714,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-list", type=str, default="1000,2000,4000,10000")
     p.add_argument("--d", type=int, default=7)
     p.add_argument("--c", type=float, default=3.5)
-    p.add_argument("--algorithm", choices=["unicolor", "multicolor"], default="unicolor")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="unicolor")
     p.set_defaults(func=cmd_bench, trials=3)
 
     p = sub.add_parser("decode", parents=[common], help="decode signal/measurement files")
@@ -728,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coprimes", type=str, default=None)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--algorithm", choices=["unicolor", "multicolor"], default="unicolor")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="unicolor")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("nonsparse", parents=[common], help="dense-scheme round-trip self-test")
@@ -746,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coprimes", type=str, required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--algorithm", choices=["unicolor", "multicolor"], default="multicolor")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="multicolor")
     p.add_argument("--paired", action="store_true", help="also run the general-mode decoder")
     p.set_defaults(func=cmd_ff_sim)
 
@@ -754,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coprimes", type=str, required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--K-list", type=str, required=True)
-    p.add_argument("--algorithm", choices=["unicolor", "multicolor"], default="unicolor")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="unicolor")
     p.set_defaults(func=cmd_crt_compare)
 
     return parser

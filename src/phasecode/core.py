@@ -121,14 +121,13 @@ class DecodeResult:
 
     recovered: list[tuple[int, complex]]
     status: RecoveryStatus
-    iterations: int
     fraction_recovered: float
-    stats: "DecodeStats | None" = None
+    stats: DecodeStats
 
 
 @dataclass
 class DecodeStats:
-    """Work/memory instrumentation; everything here must stay O(K)."""
+    """Work/memory instrumentation, all O(K); ``sweeps`` includes the seeding phases."""
 
     sweeps: int = 0
     processor_calls: int = 0

@@ -1,11 +1,13 @@
-"""Merge-and-color decoding: bin processors plus the one- and many-color loops.
+"""Merge-and-color decoding: bin processors plus one decode engine.
 
 The decoder never sees the signal support. It discovers balls through three
 guess-and-check processors, each of which hypothesizes a bin composition,
 solves the resulting trigonometric puzzle, and validates against the
 measurements (most importantly the independent check row y4). Accepted balls
 are tracked in a union-find forest whose edges carry phase rotations, so a
-merge rotates an entire color class in O(1).
+merge rotates an entire color class in O(1). Unicolor and Multicolor run
+one engine with two seeding policies: Unicolor keeps only the largest
+doubleton-merged cluster of singletons, Multicolor keeps every cluster.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .core import (
 from .measurement import FOURIER, GENERAL, MeasurementSet, ModulationParams, modulation_coeffs
 
 DEFAULT_TOL = 1e-6
+ALGORITHMS = ("unicolor", "multicolor")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -50,9 +53,6 @@ class ColorForest:
         self._members: dict[int, list[int]] = {}
 
     # -- queries ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._val)
 
     @property
     def ball_count(self) -> int:
@@ -147,7 +147,6 @@ class BinState:
     bin_id: int  # 1-based, aligned with the ensemble's global bin indexing
     y: tuple[float, float, float, float]
     discovered: list[int] = field(default_factory=list)
-    exhausted: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ def process_resolvable(
 
 
 # ---------------------------------------------------------------------------
-# Decode loops
+# Decode engine
 # ---------------------------------------------------------------------------
 
 class _Engine:
@@ -450,7 +449,6 @@ class _Engine:
         self.dirty = bytearray(self.M)
         self.exhausted = bytearray(self.M)
         self.forest = ColorForest()
-        self.singleton_origin: set[int] = set()
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
 
@@ -461,6 +459,7 @@ class _Engine:
         return lambda ell: bin_id in ensemble.bins_of(ell)
 
     def color_ball(self, ell: int, value: complex, root: int | None) -> None:
+        """Color ``ell`` (into a new component if ``root`` is None) in the forest and its bins."""
         if root is None:
             self.forest.add_root(ell, value)
         else:
@@ -472,17 +471,7 @@ class _Engine:
             self.exhausted[b0] = 0
 
     def bin_state(self, b0: int) -> BinState:
-        return BinState(
-            bin_id=b0 + 1,
-            y=self.ybins[b0],
-            discovered=self.discovered[b0],
-            exhausted=bool(self.exhausted[b0]),
-        )
-
-    def dirty_bins_of(self, balls: list[int]) -> None:
-        for ell in balls:
-            for b in self.ensemble.bins_of(ell):
-                self.dirty[b - 1] = 1
+        return BinState(bin_id=b0 + 1, y=self.ybins[b0], discovered=self.discovered[b0])
 
     # -- phases ---------------------------------------------------------------
 
@@ -509,29 +498,20 @@ class _Engine:
             if self.forest.has(ell):
                 continue  # already found through another of its bins
             self.color_ball(ell, complex(mag), None)
-            self.singleton_origin.add(ell)
 
     def phase_doubletons(self) -> None:
-        """Unicolor step 2: merge across bins holding two singleton-found balls."""
-        origin = self.singleton_origin
+        """Unicolor step 2: merge across bins holding two singleton-found balls
+        (only singletons are colored when this runs)."""
         forest = self.forest
         for b0 in range(self.M):
             mem = self.discovered[b0]
             if len(mem) != 2:
                 continue
             ball_a, ball_b = mem
-            if ball_a not in origin or ball_b not in origin:
-                continue
             if forest.find(ball_a) == forest.find(ball_b):
                 continue
             self.stats.processor_calls += 1
-            if (
-                process_mergeable(
-                    self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache
-                )
-                is not None
-            ):
-                self.exhausted[b0] = 1  # the accepted guess explained the bin fully
+            process_mergeable(self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache)
 
     def largest_root(self) -> int | None:
         best = None
@@ -547,16 +527,11 @@ class _Engine:
         """Uncolor every ball outside ``root``'s component and forget its value."""
         survivors = self.forest.component_items(root)
         self.forest = ColorForest()
-        first_ell, first_val = survivors[0]
-        new_root = self.forest.add_root(first_ell, first_val)
-        for ell, val in survivors[1:]:
-            self.forest.add_member(ell, val, new_root)
         self.discovered = [[] for _ in range(self.M)]
-        self.exhausted = bytearray(self.M)
-        self.dirty = bytearray([1]) * self.M
-        for ell, _ in survivors:
-            for b in self.ensemble.bins_of(ell):
-                self.discovered[b - 1].append(ell)
+        (first_ell, first_val), rest = survivors[0], survivors[1:]
+        self.color_ball(first_ell, first_val, None)
+        for ell, val in rest:
+            self.color_ball(ell, val, first_ell)
 
     def decoded_fully(self, K_hint: int, allow_merge: bool) -> bool:
         """All balls colored, and (for the merging decoder) in one component."""
@@ -600,8 +575,7 @@ class _Engine:
                         self.exhausted[b0] = 1
                     elif status == "resolved":
                         ell, x = payload
-                        forest.add_member(ell, x, forest.find(mem[0]))
-                        self.color_ball_bookkeeping(ell)
+                        self.color_ball(ell, x, forest.find(mem[0]))
                         changed = True
                         if not allow_merge and forest.ball_count >= K_hint:
                             return done
@@ -615,19 +589,13 @@ class _Engine:
                     )
                     if psi is not None:
                         self.exhausted[b0] = 1
-                        self.dirty_bins_of(moved)
+                        for ell in moved:  # their values rotated: revisit their bins
+                            for b in self.ensemble.bins_of(ell):
+                                self.dirty[b - 1] = 1
                         changed = True
             if not changed:
                 break
         return done
-
-    def color_ball_bookkeeping(self, ell: int) -> None:
-        """Discovered-list and dirty updates for a ball already in the forest."""
-        for b in self.ensemble.bins_of(ell):
-            b0 = b - 1
-            self.discovered[b0].append(ell)
-            self.dirty[b0] = 1
-            self.exhausted[b0] = 0
 
     # -- results --------------------------------------------------------------
 
@@ -638,7 +606,7 @@ class _Engine:
             + 4 * self.forest.ball_count
         )
 
-    def result(self, K_hint: int, iterations: int) -> DecodeResult:
+    def result(self, K_hint: int, sweeps: int) -> DecodeResult:
         root = self.largest_root()
         recovered = [] if root is None else sorted(self.forest.component_items(root))
         if K_hint > 0:
@@ -651,15 +619,31 @@ class _Engine:
             status = RecoveryStatus.FULL_RECOVERY
         else:
             status = RecoveryStatus.PARTIAL_RECOVERY
-        self.stats.sweeps = iterations
+        self.stats.sweeps = sweeps
         self.stats.resident_elements = self.resident_elements()
         return DecodeResult(
             recovered=recovered,
             status=status,
-            iterations=iterations,
             fraction_recovered=fraction,
             stats=self.stats,
         )
+
+
+def _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge: bool) -> DecodeResult:
+    """Both decoders: ``merge`` keeps every singleton cluster and merges in the
+    sweeps; otherwise one doubleton pass seeds a single cluster."""
+    engine = _Engine(meas, ensemble, params or meas.params, tol)
+    if K_hint == 0:
+        return engine.result(0, 0)
+    engine.phase_singletons()
+    if engine.forest.ball_count == 0:
+        return engine.result(K_hint, 1)
+    if not merge:
+        engine.phase_doubletons()
+        engine.restrict_to_component(engine.largest_root())
+    cap = max_sweeps if max_sweeps is not None else K_hint + 2
+    done = engine.sweeps(K_hint, allow_merge=merge, max_sweeps=cap)
+    return engine.result(K_hint, (1 if merge else 2) + done)
 
 
 def decode_unicolor(
@@ -673,19 +657,7 @@ def decode_unicolor(
     """Single-cluster decode: singletons, one doubleton-merge pass to seed the
     largest cluster, uncolor everything else, then grow that cluster with
     resolvable multitons until nothing changes."""
-    params = params or meas.params
-    engine = _Engine(meas, ensemble, params, tol)
-    if K_hint == 0:
-        return engine.result(0, 0)
-    engine.phase_singletons()
-    if engine.forest.ball_count == 0:
-        return engine.result(K_hint, 1)
-    engine.phase_doubletons()
-    root = engine.largest_root()
-    engine.restrict_to_component(root)
-    cap = max_sweeps if max_sweeps is not None else K_hint + 2
-    done = engine.sweeps(K_hint, allow_merge=False, max_sweeps=cap)
-    return engine.result(K_hint, 2 + done)
+    return _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge=False)
 
 
 def decode_multicolor(
@@ -698,13 +670,12 @@ def decode_multicolor(
 ) -> DecodeResult:
     """Many-cluster decode: singletons, then repeated sweeps that both resolve
     multitons and merge two-color bins, finally reporting the largest cluster."""
-    params = params or meas.params
-    engine = _Engine(meas, ensemble, params, tol)
-    if K_hint == 0:
-        return engine.result(0, 0)
-    engine.phase_singletons()
-    if engine.forest.ball_count == 0:
-        return engine.result(K_hint, 1)
-    cap = max_sweeps if max_sweeps is not None else K_hint + 2
-    done = engine.sweeps(K_hint, allow_merge=True, max_sweeps=cap)
-    return engine.result(K_hint, 1 + done)
+    return _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge=True)
+
+
+def get_decoder(algorithm: str) -> Callable[..., DecodeResult]:
+    """The decode function named ``algorithm``, read from the module namespace
+    at call time so that a wrapper installed there is honoured."""
+    if algorithm not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return globals()[f"decode_{algorithm}"]

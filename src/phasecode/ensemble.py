@@ -161,11 +161,6 @@ def build_crt(coprimes: Sequence[int], alpha: int = 1) -> CrtEnsemble:
 # Queries
 # ---------------------------------------------------------------------------
 
-def bins_of(ensemble, ell: int) -> list[int]:
-    """Module-level alias so callers don't need the concrete ensemble type."""
-    return ensemble.bins_of(ell)
-
-
 def induce_graph(ensemble, support: Iterable[int]) -> InducedGraph:
     """Per-bin member lists restricted to ``support`` (edge count = K*d)."""
     bins: list[list[int]] = [[] for _ in range(ensemble.M)]

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, SparseSignal
+from .decoder import get_decoder
 from .ensemble import CrtEnsemble
 from .measurement import FOURIER, MeasurementSet, ModulationParams, encode
 
@@ -243,9 +244,7 @@ def ff_sparse_acquire_implicit(
 
 def ff_sparse_decode(meas: MeasurementSet, ensemble, K_hint: int, algorithm: str = "multicolor"):
     """Decode a sparse spectrum from Fourier-friendly measurements."""
-    from .decoder import decode_multicolor, decode_unicolor
-
+    decode = get_decoder(algorithm)
     if meas.params.mode != FOURIER:
         raise ParameterError("measurements were not taken in Fourier mode")
-    decode = decode_multicolor if algorithm == "multicolor" else decode_unicolor
     return decode(meas, ensemble, meas.params, K_hint)

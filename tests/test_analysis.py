@@ -19,6 +19,7 @@ from phasecode.analysis import (
 )
 from phasecode.core import ParameterError, generate_signal
 from phasecode.ensemble import build_balls_and_bins, induce_graph
+from oracles import exact_giant_range
 
 
 def test_edge_degree_poly_normalization():
@@ -121,6 +122,17 @@ def test_giant_range_reference_lower_bounds():
     cmin8, _ = giant_component_range(8)
     assert abs(cmin5 - 3.11) < 0.01
     assert abs(cmin8 - 3.48) < 0.01
+
+
+def test_giant_range_for_large_degree_matches_oracle():
+    # the peak of the seed-edge ratio moves with d (near c = d), so a fixed
+    # interior bracket misses the window for large degrees
+    for d in (22, 25, 40):
+        for got, want in zip(giant_component_range(d), exact_giant_range(d)):
+            assert abs(got - want) <= 1e-9 * want
+    for d in (3, 101):  # no window; a window reaching past c = 1e4
+        with pytest.raises(ParameterError):
+            giant_component_range(d)
 
 
 def test_giant_fraction_threshold_behavior():

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import phasecode
 from phasecode.cli import (
     ExperimentConfig,
     linear_fit,
@@ -63,6 +66,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text("frobnicate=1\n")
     with pytest.raises(ParameterError):
         ExperimentConfig.from_file(str(path))
+
+
+def test_unknown_names_are_config_errors(tmp_path):
+    with pytest.raises(ParameterError):
+        ExperimentConfig(n=1000, K=10, c=3.5, ensemble="Crt", coprimes=(7, 9)).resolve()
+    with pytest.raises(ParameterError):
+        ExperimentConfig(n=1000, K=10, c=3.5, algorithm="uni").resolve()
+    with pytest.raises(ParameterError):
+        run_bench(n=10**6, K_list=[10], trials=1, algorithm="uni")
+    with pytest.raises(ParameterError):
+        run_crt_comparison((7, 9, 11), [5], trials=1, algorithm="uni")
+    for line in ("ensemble=foo", "mode=simulate"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n=1000\nK=10\nc=3.5\ntrials=1\n{line}\n")
+        assert main(["simulate", "--config", str(path)]) == 2
 
 
 def test_simulation_zero_trials_is_empty_success():
@@ -183,9 +201,12 @@ def test_nonsparse_subcommand(tmp_path, capsys):
 
 
 def test_cli_smoke_via_subprocess():
+    # the child finds the package where this process did, installed or not
+    paths = [str(Path(phasecode.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "phasecode", "design", "--d", "5,6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("d,")

@@ -12,12 +12,14 @@ from helpers import (
     random_value,
     signal_from_pairs,
 )
-from phasecode.core import RecoveryStatus, align_global_phase, generate_signal
+from phasecode.core import ParameterError, RecoveryStatus, align_global_phase, generate_signal
 from phasecode.decoder import (
+    ALGORITHMS,
     BinState,
     ColorForest,
     decode_multicolor,
     decode_unicolor,
+    get_decoder,
     location_candidates,
     process_mergeable,
     process_resolvable,
@@ -305,7 +307,7 @@ def test_single_ball_signal_decodes_in_phase_one():
     meas = encode(sig, ens, params)
     res = decode_multicolor(meas, ens, params, K_hint=1)
     assert res.status == RecoveryStatus.FULL_RECOVERY
-    assert res.iterations <= 2
+    assert res.stats.sweeps <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +349,9 @@ def test_multicolor_dominates_unicolor():
 def test_work_bounds():
     sig, ens, params, meas = _random_instance(123, K=50)
     res = decode_unicolor(meas, ens, params, K_hint=sig.k)
-    assert res.iterations <= sig.k + 2
+    assert res.stats.sweeps <= sig.k + 2
     # processor invocations are bounded by one call per bin per sweep
-    assert res.stats.processor_calls <= res.iterations * ens.M
+    assert res.stats.processor_calls <= res.stats.sweeps * ens.M
     assert res.stats.resident_elements > 0
 
 
@@ -360,3 +362,10 @@ def test_decode_rejects_mismatched_ensemble():
     other = build_balls_and_bins(4096, ens.M + 1, 7, seed=1)
     with pytest.raises(ParameterError):
         decode_unicolor(meas, other, params, K_hint=sig.k)
+
+
+def test_decoder_lookup_names_both_decoders_and_rejects_others():
+    assert [get_decoder(name) for name in ALGORITHMS] == [decode_unicolor, decode_multicolor]
+    for bad in ("uni", "Multicolor", ""):
+        with pytest.raises(ParameterError):
+            get_decoder(bad)

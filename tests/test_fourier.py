@@ -268,3 +268,12 @@ def test_decode_rejects_general_mode_measurements():
     meas = encode(sig, ens, params)
     with pytest.raises(ParameterError):
         ff_sparse_decode(meas, ens, K_hint=3)
+
+
+def test_decode_rejects_unknown_algorithm():
+    ens = build_crt([7, 11, 13])
+    sig = generate_signal(ens.n, 3, 5)
+    meas = ff_sparse_acquire_implicit(sig, ens, 9)
+    for bad in ("Multicolor", "uni"):
+        with pytest.raises(ParameterError):
+            ff_sparse_decode(meas, ens, K_hint=3, algorithm=bad)
