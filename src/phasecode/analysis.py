@@ -101,8 +101,14 @@ def instability_c_range(d: int) -> tuple[float, float] | None:
 
 def singleton_ball_prob(lam: float, d: int) -> float:
     """q_s: probability that a ball touches at least one singleton bin."""
-    rho1 = math.exp(-lam)
-    return 1.0 - (1.0 - rho1) ** d
+    return -math.expm1(d * _log1mexp(lam))
+
+
+def _log1mexp(lam: float) -> float:
+    """log(1 - e^{-lam}) without cancellation at either end (Maechler's split)."""
+    if lam < math.log(2.0):
+        return math.log(-math.expm1(-lam))
+    return math.log1p(-math.exp(-lam))
 
 
 #: q conventions for the seed-graph edge count, see ``seed_edge_ratio``
@@ -121,22 +127,30 @@ def _singleton_given_doubleton(lam: float, d: int, conditioning: str) -> float:
     doubleton" is a weaker condition than pinning one bin), and simulation
     matches ``other-bins``; the published feasibility windows derive from the
     Bayes variant, so both are kept.
+
+    With rho1 = e^{-lam} (a bin holds no other ball) and rho2 = lam e^{-lam}
+    (exactly one other), the Bayes q is P(S and D) / P(D), where
+    P(S and D) = 1 - (1-rho1)^d - (1-rho2)^d + (1-rho1-rho2)^d. That
+    inclusion-exclusion cancels catastrophically at both extreme loads, so it
+    is evaluated as P(S) P(D) - ((1-rho1)(1-rho2))^d (1 - (1 - t)^d) with
+    t = rho1 rho2 / ((1-rho1)(1-rho2)), every factor by log1p/expm1.
     """
-    rho1 = math.exp(-lam)
+    log_no_single = _log1mexp(lam)  # log(1 - rho1)
     if conditioning == OTHER_BINS:
-        return 1.0 - (1.0 - rho1) ** (d - 1)
+        return -math.expm1((d - 1) * log_no_single)
     if conditioning != POPULATION_BAYES:
         raise ParameterError(f"unknown conditioning {conditioning!r}")
-    rho2 = lam * math.exp(-lam)
-    qs = 1.0 - (1.0 - rho1) ** d
-    p1 = (
-        1.0
-        - (1.0 - rho1) ** d
-        - (1.0 - rho2) ** d
-        + (1.0 - rho1 - rho2) ** d
-    ) / qs
-    p2 = 1.0 - (1.0 - rho1 - rho2) ** d / (1.0 - rho1) ** d
-    return p1 * qs / (p1 * qs + p2 * (1.0 - qs))
+    rho1 = math.exp(-lam)
+    rho2 = lam * rho1
+    log_no_double = math.log1p(-rho2)  # log(1 - rho2)
+    has_single = -math.expm1(d * log_no_single)
+    has_double = -math.expm1(d * log_no_double)
+    log_neither_pair = log_no_single + log_no_double
+    t = rho1 * rho2 / math.exp(log_neither_pair)
+    has_both = has_single * has_double - math.exp(d * log_neither_pair) * -math.expm1(
+        d * math.log1p(-t)
+    )
+    return has_both / has_double
 
 
 def seed_edge_ratio(c: float, d: int, conditioning: str = POPULATION_BAYES) -> float:
@@ -144,11 +158,13 @@ def seed_edge_ratio(c: float, d: int, conditioning: str = POPULATION_BAYES) -> f
 
     M_s = M * (lam^2 e^-lam / 2) * q^2 counts doubletons with both balls in
     singletons, K_s = K q_s counts the nodes; a giant component exists when
-    this ratio exceeds 1.
+    this ratio exceeds 1. It is 0.0 where e^{-lam} underflows (lam > ~745).
     """
     lam = d / c
+    qs = singleton_ball_prob(lam, d)
+    if qs == 0.0:
+        return 0.0
     q = _singleton_given_doubleton(lam, d, conditioning)
-    qs = 1.0 - (1.0 - math.exp(-lam)) ** d
     return c * lam * lam * math.exp(-lam) * q * q / qs
 
 

@@ -218,14 +218,49 @@ def write_signal(signal: SparseSignal, path: str) -> None:
             fh.write(f"{ell} {v.real!r} {v.imag!r}\n")
 
 
-def read_signal(path: str) -> SparseSignal:
+def read_table(path: str, what: str, header_width: int, count_at: int, row_kinds: tuple):
+    """Header and data rows of a whitespace-separated ``what`` file.
+
+    The header is ``header_width`` nonnegative integers; ``header[count_at]``
+    rows follow, each with one field per entry of ``row_kinds`` (int or
+    float) and parsed by it, then nothing but blank lines. Returns
+    (header, rows, fail), where ``fail(lineno, why)`` raises the
+    ParameterError that every malformed file gets instead of a traceback.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParameterError(f"bad signal header in {path}")
-        n, k = int(header[0]), int(header[1])
-        support = []
-        for _ in range(k):
-            parts = fh.readline().split()
-            support.append((int(parts[0]), complex(float(parts[1]), float(parts[2]))))
-    return SparseSignal(n, tuple(support))
+        lines = [line.split() for line in fh]
+
+    def fail(lineno: int, why: str):
+        raise ParameterError(f"{path}, line {lineno}: bad {what} file: {why}")
+
+    def parse(kind, text: str, lineno: int):
+        try:
+            value = kind(text)
+        except ValueError:
+            fail(lineno, f"{text!r} is not {'an integer' if kind is int else 'a number'}")
+        if kind is float and not math.isfinite(value):
+            fail(lineno, f"{text!r} is not finite")
+        return value
+
+    if not lines or len(lines[0]) != header_width:
+        fail(1, f"the header needs {header_width} integers")
+    header = [parse(int, f, 1) for f in lines[0]]
+    if min(header) < 0:
+        fail(1, "header values must be nonnegative")
+    count = header[count_at]
+    if len(lines) - 1 < count:
+        fail(len(lines) + 1, f"the header announces {count} rows, the file holds {len(lines) - 1}")
+    rows = []
+    for lineno, parts in enumerate(lines[1 : 1 + count], start=2):
+        if len(parts) != len(row_kinds):
+            fail(lineno, f"expected {len(row_kinds)} fields, found {len(parts)}")
+        rows.append([parse(kind, f, lineno) for kind, f in zip(row_kinds, parts)])
+    for lineno, parts in enumerate(lines[1 + count :], start=2 + count):
+        if parts:
+            fail(lineno, f"data after the {count} announced rows")
+    return header, rows, fail
+
+
+def read_signal(path: str) -> SparseSignal:
+    (n, _), rows, _ = read_table(path, "signal", 2, 1, (int, float, float))
+    return SparseSignal(n, tuple((ell, complex(re, im)) for ell, re, im in rows))

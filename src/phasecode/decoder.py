@@ -8,6 +8,31 @@ are tracked in a union-find forest whose edges carry phase rotations, so a
 merge rotates an entire color class in O(1). Unicolor and Multicolor run
 one engine with two seeding policies: Unicolor keeps only the largest
 doubleton-merged cluster of singletons, Multicolor keeps every cluster.
+
+The engine keeps two per-decode caches so that a discovered ball costs O(d)
+work rather than O(d * bin load) per visit of each of its bins:
+
+- ``bins``: each ball's bins, computed once by ``ensemble.bins_of`` (at its
+  membership check or its coloring) and read by every later coloring,
+  re-coloring and dirty marking.
+- ``sums``: per bin, the four one-color sums of its first ``count``
+  members, tagged with the component root they were summed in. An entry is
+  valid while that root is still the root of the bin's members: once
+  ``find`` has pointed a member straight at a root, neither its parent link
+  nor its rotation changes until that root is absorbed, and an absorbed root
+  never becomes a root again. A valid entry is extended by the members it
+  does not cover yet, in member order, so it equals a fresh member-order
+  re-sum bit for bit; a merge needs no work, because the absorbed root's
+  entries go stale by themselves. ``restrict_to_component`` builds a new
+  forest and therefore drops every entry; a bin found exhausted drops its
+  entry too, since only a ball joining it would bring the sweep back.
+
+The sweep still calls ``find`` on every member of a bin before choosing a
+processor. That scan fixes when path compression runs, and a compressed
+rotation is a floating-point sum whose association depends on that timing.
+Rotating the cached sums eagerly on merge instead (and dropping the scan)
+agrees with a re-sum only to ~1e-15, which at n ~ 1e12 is enough to move
+``round(acos(.)/omega)`` to a neighbouring index and change a decode.
 """
 from __future__ import annotations
 
@@ -203,6 +228,27 @@ def _passes(bin_y, synth, tol: float, scale: float) -> bool:
 # Bin processors
 # ---------------------------------------------------------------------------
 
+def _member_sums(
+    mem: list[int],
+    forest: ColorForest,
+    params: ModulationParams,
+    coeff_cache: dict | None,
+    start: int = 0,
+    sums: tuple[complex, complex, complex, complex] = (0j, 0j, 0j, 0j),
+) -> tuple[complex, complex, complex, complex]:
+    """The four bin sums g_k(ell) * value(ell) over ``mem[start:]``, added in
+    member order onto ``sums`` (the sums of ``mem[:start]``)."""
+    a, b, c, dd = sums
+    for ell in mem[start:]:
+        v = forest.value(ell)
+        g1, g2, g3, g4 = _coeffs(params, ell, coeff_cache)
+        a += g1 * v
+        b += g2 * v
+        c += g3 * v
+        dd += g4 * v
+    return a, b, c, dd
+
+
 def process_singleton(
     bin: BinState,
     params: ModulationParams,
@@ -260,19 +306,8 @@ def process_mergeable(
     if scale <= 0.0:
         return None
 
-    def group_sums(mem):
-        s = [0j, 0j, 0j, 0j]
-        for ell in mem:
-            v = forest.value(ell)
-            g1, g2, g3, g4 = _coeffs(params, ell, coeff_cache)
-            s[0] += g1 * v
-            s[1] += g2 * v
-            s[2] += g3 * v
-            s[3] += g4 * v
-        return s
-
-    rs = group_sums(mem_r)
-    bs = group_sums(mem_b)
+    rs = _member_sums(mem_r, forest, params, coeff_cache)
+    bs = _member_sums(mem_b, forest, params, coeff_cache)
     r1, b1 = rs[0], bs[0]
     if abs(r1) <= tol * scale or abs(b1) <= tol * scale:
         return None  # degenerate geometry: a class sums to zero in this bin
@@ -308,24 +343,24 @@ def _resolvable_full(
     tol: float = DEFAULT_TOL,
     membership: Callable[[int], bool] | None = None,
     coeff_cache: dict | None = None,
+    sums: tuple[complex, complex, complex, complex] | None = None,
 ) -> tuple[str, Optional[tuple[int, complex]]]:
     """Resolvable-multiton engine; returns (status, payload) with status in
     {"resolved", "exhausted", "none"}. "exhausted" means the discovered
-    members alone already reproduce all four measurements."""
+    members alone already reproduce all four measurements.
+
+    ``sums`` are the members' one-color sums when the caller holds them (the
+    engine's cache, for members it has checked share one color); otherwise
+    the members are checked and summed here."""
     mem = bin.discovered
     if not mem:
         return "none", None
-    root = forest.find(mem[0])
-    a = b = c = dd = 0j
-    for ell in mem:
-        if forest.find(ell) != root:
+    if sums is None:
+        root = forest.find(mem[0])
+        if any(forest.find(ell) != root for ell in mem):
             return "none", None  # more than one color: not this processor's job
-        v = forest.value(ell)
-        g1, g2, g3, g4 = _coeffs(params, ell, coeff_cache)
-        a += g1 * v
-        b += g2 * v
-        c += g3 * v
-        dd += g4 * v
+        sums = _member_sums(mem, forest, params, coeff_cache)
+    a, b, c, dd = sums
     y = bin.y
     y1, y2, y3, y4 = y
     scale = max(y)
@@ -451,12 +486,37 @@ class _Engine:
         self.forest = ColorForest()
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
+        self.bins: dict[int, list[int]] = {}
+        # per bin: None or (root, count, a, b, c, dd), see the module docstring
+        self.sums: list[tuple | None] = [None] * self.M
 
     # -- helpers ------------------------------------------------------------
 
+    def bins_of(self, ell: int) -> list[int]:
+        got = self.bins.get(ell)
+        if got is None:
+            got = self.bins[ell] = self.ensemble.bins_of(ell)
+        return got
+
     def membership(self, bin_id: int) -> Callable[[int], bool]:
-        ensemble = self.ensemble
-        return lambda ell: bin_id in ensemble.bins_of(ell)
+        bins_of = self.bins_of
+        return lambda ell: bin_id in bins_of(ell)
+
+    def bin_sums(self, b0: int, root: int) -> tuple[complex, complex, complex, complex]:
+        """One-color sums of bin ``b0``, whose members all lie in ``root``'s
+        component: the cached entry extended by the members it does not
+        cover, or a full re-sum when the entry was summed under another root."""
+        mem = self.discovered[b0]
+        entry = self.sums[b0]
+        if entry is not None and entry[0] == root:
+            count, sums = entry[1], entry[2:]
+            if count == len(mem):
+                return sums
+        else:
+            count, sums = 0, (0j, 0j, 0j, 0j)
+        sums = _member_sums(mem, self.forest, self.params, self.coeff_cache, count, sums)
+        self.sums[b0] = (root, len(mem), *sums)
+        return sums
 
     def color_ball(self, ell: int, value: complex, root: int | None) -> None:
         """Color ``ell`` (into a new component if ``root`` is None) in the forest and its bins."""
@@ -464,7 +524,7 @@ class _Engine:
             self.forest.add_root(ell, value)
         else:
             self.forest.add_member(ell, value, root)
-        for b in self.ensemble.bins_of(ell):
+        for b in self.bins_of(ell):
             b0 = b - 1
             self.discovered[b0].append(ell)
             self.dirty[b0] = 1
@@ -528,6 +588,7 @@ class _Engine:
         survivors = self.forest.component_items(root)
         self.forest = ColorForest()
         self.discovered = [[] for _ in range(self.M)]
+        self.sums = [None] * self.M
         (first_ell, first_val), rest = survivors[0], survivors[1:]
         self.color_ball(first_ell, first_val, None)
         for ell, val in rest:
@@ -570,9 +631,11 @@ class _Engine:
                         self.tol,
                         membership=self.membership(b0 + 1),
                         coeff_cache=self.coeff_cache,
+                        sums=self.bin_sums(b0, next(iter(roots))),
                     )
                     if status == "exhausted":
                         self.exhausted[b0] = 1
+                        self.sums[b0] = None
                     elif status == "resolved":
                         ell, x = payload
                         self.color_ball(ell, x, forest.find(mem[0]))
@@ -590,7 +653,7 @@ class _Engine:
                     if psi is not None:
                         self.exhausted[b0] = 1
                         for ell in moved:  # their values rotated: revisit their bins
-                            for b in self.ensemble.bins_of(ell):
+                            for b in self.bins_of(ell):
                                 self.dirty[b - 1] = 1
                         changed = True
             if not changed:

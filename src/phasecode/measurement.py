@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import ParameterError, SparseSignal, mix64
+from .core import ParameterError, SparseSignal, mix64, read_table
 
 GENERAL = "general"
 FOURIER = "fourier"
@@ -170,13 +170,9 @@ def write_measurements(meas: MeasurementSet, path: str) -> None:
 
 
 def read_measurements(path: str, mode: str = GENERAL) -> MeasurementSet:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ParameterError(f"bad measurement header in {path}")
-        M, n, L = int(header[0]), int(header[1]), int(header[2])
-        y = np.zeros((M, 4), dtype=np.float64)
-        for i in range(M):
-            parts = fh.readline().split()
-            y[i] = [float(p) for p in parts]
+    (M, n, L), rows, fail = read_table(path, "measurement", 3, 0, (float,) * 4)
+    for lineno, row in enumerate(rows, start=2):
+        if min(row) < 0:
+            fail(lineno, "magnitudes must be nonnegative")
+    y = np.array(rows, dtype=np.float64).reshape(M, 4)
     return MeasurementSet(y=y, params=ModulationParams(n=n, L=L, mode=mode))

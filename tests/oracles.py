@@ -254,6 +254,13 @@ def exact_instability_range(d: int) -> tuple[float, float]:
         return tuple(float(x) for x in _instability_roots(d))
 
 
+def exact_seed_ratio(c: float, d: int) -> float:
+    """2 M_s / K_s at the float c, population-Bayes convention."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float(_seed_ratio(Decimal(c), d))
+
+
 def exact_giant_range(d: int) -> tuple[float, float]:
     """c window on which the seed graph has 2 M_s / K_s > 1."""
     with localcontext() as ctx:

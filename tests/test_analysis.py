@@ -19,7 +19,7 @@ from phasecode.analysis import (
 )
 from phasecode.core import ParameterError, generate_signal
 from phasecode.ensemble import build_balls_and_bins, induce_graph
-from oracles import exact_giant_range
+from oracles import exact_giant_range, exact_seed_ratio
 
 
 def test_edge_degree_poly_normalization():
@@ -133,6 +133,18 @@ def test_giant_range_for_large_degree_matches_oracle():
     for d in (3, 101):  # no window; a window reaching past c = 1e4
         with pytest.raises(ParameterError):
             giant_component_range(d)
+
+
+def test_seed_edge_ratio_matches_oracle_at_extreme_loads():
+    # (1.05, 40): lam ~ 38, where 1 - (1 - e^-lam)^d cancels to 0 in floats;
+    # (45000, 150): lam ~ 3e-3, where (1 - rho1)^d underflows and the old
+    # ratio of d-th powers was 0/0; the rest are ordinary design points
+    for c, d in ((1.05, 40), (45000.0, 150), (3.5, 7), (1.5, 4), (20.0, 10), (1e4, 100)):
+        want = exact_seed_ratio(c, d)
+        assert abs(seed_edge_ratio(c, d) - want) <= 1e-9 * want, (c, d)
+    assert giant_fraction(1.05, 40) == 0.0
+    assert giant_fraction(45000.0, 150) == 0.0  # ratio ~ 0.498, below the threshold
+    assert seed_edge_ratio(0.1, 100) == 0.0  # e^-lam underflows at lam = 1000
 
 
 def test_giant_fraction_threshold_behavior():

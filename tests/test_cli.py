@@ -161,6 +161,17 @@ def test_decode_subcommand_round_trip(tmp_path, capsys):
     assert len(rec.read_text().splitlines()) == 40
 
 
+def test_decode_rejects_malformed_measurements_via_subprocess(tmp_path):
+    meas = tmp_path / "y.txt"
+    meas.write_text("2 300 7\n1.0 1.0 0.5 1.0\n1.0 nan 0.5 1.0\n")  # a nan magnitude on line 3
+    proc = _run_phasecode(
+        "decode", "--measurements", str(meas),
+        "--ensemble", "balls", "--bins", "3", "--d", "2", "--ens-seed", "1", "--K", "1",
+    )
+    assert proc.returncode == 2
+    assert "line 3" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_bench_runs_small(tmp_path):
     rows = run_bench(n=10**8, K_list=[100, 200], d=5, c=3.5, trials=1, seed=3)
     assert [r.K for r in rows] == [100, 200]
@@ -200,13 +211,15 @@ def test_nonsparse_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_smoke_via_subprocess():
-    # the child finds the package where this process did, installed or not
+def _run_phasecode(*args):
+    """``python -m phasecode ARGS`` in a child that finds the package where
+    this process did, installed or not."""
     paths = [str(Path(phasecode.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "phasecode", "design", "--d", "5,6"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "phasecode", *args], capture_output=True, text=True, env=env)
+
+
+def test_cli_smoke_via_subprocess():
+    proc = _run_phasecode("design", "--d", "5,6")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("d,")

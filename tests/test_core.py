@@ -120,6 +120,35 @@ def test_signal_file_round_trip(tmp_path):
     assert back == sig
 
 
+@pytest.mark.parametrize("body", [
+    "10 2\n3 1.0 0.5\n",  # short file
+    "10 1\n3 1.0\n",  # row without three fields
+    "10 1\n3 1.0 0.5 7\n",
+    "10 1\nthree 1.0 0.5\n",  # non-numeric fields
+    "10 1\n3 x 0.5\n",
+    "10 1\n3 nan 0.5\n",  # non-finite value
+    "10 1\n3 1.0 inf\n",
+    "10 1\n3 1.0 0.5\n4 1.0 0.5\n",  # more rows than announced
+    "ten 1\n3 1.0 0.5\n",  # malformed header
+    "10\n",
+    "",
+    "10 -1\n",
+    "10 2\n4 1.0 0.5\n3 1.0 0.5\n",  # unsorted indices
+    "10 2\n3 1.0 0.5\n3 1.0 0.5\n",  # duplicate index
+])
+def test_read_signal_rejects_malformed_files(tmp_path, body):
+    path = tmp_path / "sig.txt"
+    path.write_text(body)
+    with pytest.raises(ParameterError):
+        read_signal(str(path))
+
+
+def test_read_signal_ignores_trailing_blank_lines(tmp_path):
+    path = tmp_path / "sig.txt"
+    path.write_text("10 1\n3 1.0 0.5\n\n")
+    assert read_signal(str(path)) == SparseSignal(10, ((3, 1 + 0.5j),))
+
+
 def test_mix64_spreads_and_is_deterministic():
     vals = {mix64(1, i) for i in range(1000)}
     assert len(vals) == 1000

@@ -12,6 +12,7 @@ from helpers import (
     random_value,
     signal_from_pairs,
 )
+import phasecode.decoder as dec
 from phasecode.core import ParameterError, RecoveryStatus, align_global_phase, generate_signal
 from phasecode.decoder import (
     ALGORITHMS,
@@ -25,8 +26,9 @@ from phasecode.decoder import (
     process_resolvable,
     process_singleton,
 )
-from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins
-from phasecode.measurement import FOURIER, ModulationParams, encode
+from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins, build_crt
+from phasecode.fourier import ff_sparse_acquire_implicit
+from phasecode.measurement import FOURIER, ModulationParams, encode, modulation_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +371,90 @@ def test_decoder_lookup_names_both_decoders_and_rejects_others():
     for bad in ("uni", "Multicolor", ""):
         with pytest.raises(ParameterError):
             get_decoder(bad)
+
+
+# ---------------------------------------------------------------------------
+# Engine caches
+# ---------------------------------------------------------------------------
+
+def _reference_sums(mem, forest, params):
+    """The member-order re-sum that the engine's cached bin sums replace."""
+    a = b = c = dd = 0j
+    for ell in mem:
+        v = forest.value(ell)
+        g1, g2, g3, g4 = modulation_coeffs(params, ell)
+        a += g1 * v
+        b += g2 * v
+        c += g3 * v
+        dd += g4 * v
+    return a, b, c, dd
+
+
+class _CountingEnsemble:
+    """An ensemble that counts ``bins_of`` queries per ball."""
+
+    def __init__(self, ens):
+        self.ens, self.n, self.M = ens, ens.n, ens.M
+        self.calls: dict[int, int] = {}
+
+    def bins_of(self, ell):
+        self.calls[ell] = self.calls.get(ell, 0) + 1
+        return self.ens.bins_of(ell)
+
+
+def _cache_panel():
+    """(label, measurements, ensemble, K) over balls-and-bins (including the
+    merge-heavy c = 2.75 load), the criterion-4 CRT code and Fourier mode."""
+    for seed in range(4):
+        sig = generate_signal(10**6, 200, seed)
+        params = ModulationParams.draw(10**6, seed + 100)
+        for c in (3.5, 2.75):
+            ens = build_balls_and_bins(10**6, math.ceil(c * 200), 7, seed + 200)
+            yield f"balls c={c} seed={seed}", encode(sig, ens, params), ens, 200
+    crt = build_crt([47, 49, 50, 53, 57, 59, 61])
+    for seed, K in ((1, 107), (2, 142), (3, 170)):
+        sig = generate_signal(crt.n, K, seed)
+        yield f"crt K={K}", encode(sig, crt, ModulationParams.draw(crt.n, seed + 100)), crt, K
+    fourier_code = build_crt([7, 11, 13, 17, 19])
+    for seed in range(4):
+        spectrum = generate_signal(fourier_code.n, 12, seed)
+        yield f"fourier seed={seed}", ff_sparse_acquire_implicit(spectrum, fourier_code, seed + 100), fourier_code, 12
+
+
+def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
+    checked = {"calls": 0, "merges": 0}
+    original_resolvable = dec._resolvable_full
+    original_mergeable = dec.process_mergeable
+
+    def checked_resolvable(bin, forest, params, *args, sums=None, **kwargs):
+        assert sums is not None, "the engine must hand its cached sums over"
+        assert sums == _reference_sums(bin.discovered, forest, params)
+        checked["calls"] += 1
+        return original_resolvable(bin, forest, params, *args, sums=sums, **kwargs)
+
+    def counted_mergeable(*args, **kwargs):
+        psi = original_mergeable(*args, **kwargs)
+        checked["merges"] += psi is not None
+        return psi
+
+    monkeypatch.setattr(dec, "_resolvable_full", checked_resolvable)
+    monkeypatch.setattr(dec, "process_mergeable", counted_mergeable)
+    engines = []
+
+    class RecordingEngine(dec._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(dec, "_Engine", RecordingEngine)
+    for label, meas, ens, K in _cache_panel():
+        for alg in ALGORITHMS:
+            counting = _CountingEnsemble(ens)
+            get_decoder(alg)(meas, counting, meas.params, K_hint=K)
+            engine = engines.pop()
+            assert max(counting.calls.values()) == 1, (label, alg)  # one query per ball
+            assert engine.bins == {ell: ens.bins_of(ell) for ell in counting.calls}, (label, alg)
+            colored = {ell for root in engine.forest.roots() for ell in engine.forest.members(root)}
+            assert colored <= engine.bins.keys(), (label, alg)
+    assert checked["calls"] > 1000
+    assert checked["merges"] > 100  # multicolor merges, which make cached entries stale

@@ -195,3 +195,24 @@ def test_measurement_file_round_trip(tmp_path):
     assert back.params.n == n
     assert back.params.L == params.L
     assert np.array_equal(back.y, meas.y)
+
+
+@pytest.mark.parametrize("body", [
+    "2 300 7\n1.0 1.0 0.5 1.0\n",  # short file
+    "1 300 7\n1.0 1.0 0.5\n",  # row without four fields
+    "1 300 7\n1.0 1.0 0.5 1.0 1.0\n",
+    "1 300 7\n1.0 one 0.5 1.0\n",  # non-numeric field
+    "1 300 7\n1.0 nan 0.5 1.0\n",  # non-finite magnitude
+    "1 300 7\n1.0 1.0 inf 1.0\n",
+    "1 300 7\n1.0 1.0 0.5 -1\n",  # negative magnitude
+    "1 300 7\n1.0 1.0 0.5 1.0\n1.0 1.0 0.5 1.0\n",  # more rows than announced
+    "1 300\n1.0 1.0 0.5 1.0\n",  # malformed header
+    "1 300 7.5\n1.0 1.0 0.5 1.0\n",
+    "-1 300 7\n",
+    "1 300 300\n1.0 1.0 0.5 1.0\n",  # check shift outside [1, n-1]
+])
+def test_read_measurements_rejects_malformed_files(tmp_path, body):
+    path = tmp_path / "y.txt"
+    path.write_text(body)
+    with pytest.raises(ParameterError):
+        read_measurements(str(path))
