@@ -233,14 +233,16 @@ def _trial_worker(args) -> TrialRecord:
 
 def run_simulation(cfg: ExperimentConfig) -> SimulationSummary:
     """Monte Carlo sweep; deterministic given the master seed, regardless of
-    worker scheduling (records are merged by trial index)."""
+    worker scheduling (records are merged by trial index). The pool takes
+    one trial at a time, so no worker idles while another still holds a
+    queued chunk."""
     cfg.resolve()
     records: list[TrialRecord] = []
     if cfg.trials > 0:
         if cfg.threads > 1:
             tasks = [(asdict(cfg), t) for t in range(cfg.trials)]
             with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                records = list(pool.map(_trial_worker, tasks, chunksize=8))
+                records = list(pool.map(_trial_worker, tasks, chunksize=1))
         else:
             records = [run_one_trial(cfg, t) for t in range(cfg.trials)]
         records.sort(key=lambda r: r.trial)

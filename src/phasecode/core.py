@@ -36,20 +36,32 @@ class AlignmentError(ValueError):
 # Seeding
 # ---------------------------------------------------------------------------
 
-def mix64(*words: int) -> int:
-    """Mix integer words into one 64-bit value (splitmix64 finalizer chain).
+def mix_round(h, w):
+    """One splitmix64 round: absorb word ``w`` into state ``h``.
+
+    The same body serves Python ints and numpy ``uint64`` arrays (numpy
+    integer arithmetic wraps modulo 2**64 there, and the masks are no-ops),
+    so a batch of keys hashes bit for bit like the scalar loop.
+    """
+    h = (h ^ w) & _MASK64
+    h = (h + _GOLDEN) & _MASK64
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return h ^ (h >> 31)
+
+
+def mix64(*words):
+    """Mix integer words into one 64-bit value: ``mix_round`` folded over them.
 
     Deterministic, order-sensitive, and statistically uniform; used both to
     derive independent per-trial seeds and as the pseudorandom function behind
-    the implicit balls-and-bins ensemble.
+    the implicit balls-and-bins ensemble. Since ``mix64(*a, w) ==
+    mix_round(mix64(*a), w)``, a shared prefix is hashed once and each last
+    word costs one round; a ``uint64`` array word gives an array of hashes.
     """
     h = 0
     for w in words:
-        h = (h ^ (w & _MASK64)) & _MASK64
-        h = (h + _GOLDEN) & _MASK64
-        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h = h ^ (h >> 31)
+        h = mix_round(h, w)
     return h
 
 
@@ -151,14 +163,7 @@ def generate_signal(n: int, K: int, seed: int, value_model: str = "gaussian") ->
     if K == 0:
         return SparseSignal(n, ())
 
-    # Rejection sampling keeps this O(K) even for n ~ 1e10.
-    chosen: set[int] = set()
-    counter = 0
-    while len(chosen) < K:
-        v = 1 + mix64(seed, 0xA11CE, counter) % n
-        counter += 1
-        chosen.add(v)
-    indices = sorted(chosen)
+    indices = sorted(_distinct_draws(n, K, mix64(seed, 0xA11CE)))
 
     rng = rng_from_seed(mix64(seed, 0x7A1))
     if value_model == "unit":
@@ -175,6 +180,23 @@ def generate_signal(n: int, K: int, seed: int, value_model: str = "gaussian") ->
             phases = np.where(mags > 0, values / np.where(mags == 0, 1, mags), 1.0)
             values = np.where(small, phases * floor, values)
     return SparseSignal(n, tuple((ell, complex(v)) for ell, v in zip(indices, values)))
+
+
+def _distinct_draws(n: int, K: int, h: int) -> set[int]:
+    """The first K distinct values of the sequence 1 + mix_round(h, i) % n,
+    i = 0, 1, 2, ... (rejection sampling: O(K) even for n ~ 1e10).
+
+    The sequence is hashed in batches; the first batch holds the expected
+    number of draws plus a margin, so it is nearly always the only one."""
+    chosen: set[int] = set()
+    start, batch = 0, K + K * K // n + 16
+    while True:
+        counters = np.arange(start, start + batch, dtype=np.uint64)
+        for v in (1 + mix_round(h, counters) % n).tolist():
+            chosen.add(v)
+            if len(chosen) == K:
+                return chosen
+        start, batch = start + batch, 2 * batch
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,20 @@ work rather than O(d * bin load) per visit of each of its bins:
   forest and therefore drops every entry; a bin found exhausted drops its
   entry too, since only a ball joining it would bring the sweep back.
 
-The sweep still calls ``find`` on every member of a bin before choosing a
+The sweep still finds the root of every member of a bin before choosing a
 processor. That scan fixes when path compression runs, and a compressed
 rotation is a floating-point sum whose association depends on that timing.
 Rotating the cached sums eagerly on merge instead (and dropping the scan)
 agrees with a re-sum only to ~1e-15, which at n ~ 1e12 is enough to move
 ``round(acos(.)/omega)`` to a neighbouring index and change a decode.
+
+The scan, and ``_member_sums``, skip ``find`` on a member that is a root or
+whose parent is a root. On such a member ``find`` compresses nothing: its
+parent stays, and its rotation is rewritten as ``0.0 + rot``, the same
+number (up to the sign of a zero, which ``exp(1j * rot)`` and every later
+``0.0 + ...`` accumulation ignore). Every ``find`` that does compress a path
+still runs at the moment it ran before, so the timing above is unchanged and
+decodes stay byte-identical.
 """
 from __future__ import annotations
 
@@ -189,14 +197,13 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
     """
     v = min(max(cos_abs, 0.0), 1.0)
     a = math.acos(v)
-    if params.mode == GENERAL:
-        thetas = (a,)
-    else:
-        thetas = (a, math.pi - a, math.pi + a, _TWO_PI - a)
     omega = params.omega
     n = params.n
+    if params.mode == GENERAL:
+        ell = round(a / omega)
+        return [ell] if 1 <= ell <= n else []
     out: list[int] = []
-    for theta in thetas:
+    for theta in (a, math.pi - a, math.pi + a, _TWO_PI - a):
         ell = round(theta / omega)
         if ell == 0 and params.mode == FOURIER:
             ell = n  # theta ~ 0 and theta ~ 2pi name the same ball
@@ -239,8 +246,15 @@ def _member_sums(
     """The four bin sums g_k(ell) * value(ell) over ``mem[start:]``, added in
     member order onto ``sums`` (the sums of ``mem[:start]``)."""
     a, b, c, dd = sums
+    parent, rot, val = forest._parent, forest._rot, forest._val
     for ell in mem[start:]:
-        v = forest.value(ell)
+        p = parent[ell]
+        if p == ell:
+            v = val[ell]
+        elif parent[p] == p:  # find(ell) would not change a thing, see the module docstring
+            v = val[ell] * cmath.exp(1j * rot[ell])
+        else:
+            v = forest.value(ell)
         g1, g2, g3, g4 = _coeffs(params, ell, coeff_cache)
         a += g1 * v
         b += g2 * v
@@ -608,6 +622,7 @@ class _Engine:
         still combine after every ball is found.
         """
         forest = self.forest
+        parent = forest._parent
         done = 0
         while done < max_sweeps and not self.decoded_fully(K_hint, allow_merge):
             done += 1
@@ -619,8 +634,12 @@ class _Engine:
                 mem = self.discovered[b0]
                 if not mem:
                     continue
-                roots = {forest.find(ell) for ell in mem}
+                roots = set()
+                for ell in mem:  # find(ell), skipped where it would be a no-op
+                    p = parent[ell]
+                    roots.add(p if parent[p] == p else forest.find(ell))
                 if len(roots) == 1:
+                    root = next(iter(roots))
                     if forest.ball_count >= K_hint:
                         continue  # nothing left to resolve, only merges remain
                     self.stats.processor_calls += 1
@@ -631,14 +650,14 @@ class _Engine:
                         self.tol,
                         membership=self.membership(b0 + 1),
                         coeff_cache=self.coeff_cache,
-                        sums=self.bin_sums(b0, next(iter(roots))),
+                        sums=self.bin_sums(b0, root),
                     )
                     if status == "exhausted":
                         self.exhausted[b0] = 1
                         self.sums[b0] = None
                     elif status == "resolved":
                         ell, x = payload
-                        self.color_ball(ell, x, forest.find(mem[0]))
+                        self.color_ball(ell, x, root)
                         changed = True
                         if not allow_merge and forest.ball_count >= K_hint:
                             return done
@@ -663,10 +682,16 @@ class _Engine:
     # -- results --------------------------------------------------------------
 
     def resident_elements(self) -> int:
+        """Per-bin state, discovered members and the forest, plus the caches:
+        4 weights per ``coeff_cache`` entry, a ball's key and bins per
+        ``bins`` entry, and 6 values per live ``sums`` entry."""
         return (
             5 * self.M
             + sum(len(d) for d in self.discovered)
             + 4 * self.forest.ball_count
+            + 4 * len(self.coeff_cache)
+            + sum(len(b) + 1 for b in self.bins.values())
+            + 6 * sum(entry is not None for entry in self.sums)
         )
 
     def result(self, K_hint: int, sweeps: int) -> DecodeResult:

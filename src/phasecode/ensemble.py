@@ -3,7 +3,9 @@
 The M x n matrix H is never materialized. Both ensembles answer
 ``bins_of(ell)`` (the d bins occupied by ball ``ell``) in O(d) time with O(1)
 per-query memory, which is what makes O(K) decoding of signals with n ~ 1e10
-possible.
+possible. ``bins_many(ells)`` answers a whole batch of balls at once in numpy:
+row i equals ``bins_of(ells[i])``, padded with zeros (which name no bin)
+where a ball of an irregular explicit ensemble has fewer bins than another.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ParameterError, mix64
+from .core import ParameterError, mix64, mix_round
 
 # Hard cap for any operation that materializes an M x n matrix.
 DENSE_EXPORT_LIMIT = 10_000
@@ -32,16 +34,32 @@ class BallsAndBinsEnsemble:
     kind = "balls"
 
     def bins_of(self, ell: int) -> list[int]:
+        """Draw ``1 + mix64(seed, ell, attempt) % M`` for attempt = 0, 1, ...
+        and keep the first d distinct bins; (seed, ell) is hashed once."""
         if not 1 <= ell <= self.n:
             raise ParameterError(f"ball index {ell} outside [1, {self.n}]")
+        h = mix64(self.seed, ell)
         bins: list[int] = []
         attempt = 0
         while len(bins) < self.d:
-            b = 1 + mix64(self.seed, ell, attempt) % self.M
+            b = 1 + mix_round(h, attempt) % self.M
             attempt += 1
             if b not in bins:
                 bins.append(b)
         return bins
+
+    def bins_many(self, ells) -> np.ndarray:
+        """``bins_of`` for a batch: the first d draws of every ball at once,
+        with ``bins_of`` itself for the rare row that repeats a bin."""
+        ells = _check_balls(ells, self.n)
+        h = mix64(self.seed, ells.astype(np.uint64))
+        out = np.empty((len(ells), self.d), dtype=np.int64)
+        for attempt in range(self.d):
+            out[:, attempt] = 1 + mix_round(h, attempt) % self.M
+        drawn = np.sort(out, axis=1)
+        for i in np.flatnonzero((drawn[:, 1:] == drawn[:, :-1]).any(axis=1)):
+            out[i] = self.bins_of(int(ells[i]))
+        return out
 
     def describe(self) -> str:
         return f"balls(n={self.n},M={self.M},d={self.d},seed={self.seed})"
@@ -75,6 +93,10 @@ class CrtEnsemble:
         r = ell - 1
         return [off + (r % f) + 1 for off, f in zip(self.stage_offsets, self.stage_heights)]
 
+    def bins_many(self, ells) -> np.ndarray:
+        r = _check_balls(ells, self.n)[:, None] - 1
+        return np.asarray(self.stage_offsets) + r % np.asarray(self.stage_heights) + 1
+
     def describe(self) -> str:
         cop = ",".join(str(c) for c in self.coprimes)
         return f"crt(coprimes={cop},alpha={self.alpha})"
@@ -103,6 +125,13 @@ class ExplicitEnsemble:
             raise ParameterError(f"ball index {ell} outside [1, {self.n}]")
         return [i + 1 for i, balls in enumerate(self.members) if ell in balls]
 
+    def bins_many(self, ells) -> np.ndarray:
+        rows = [self.bins_of(ell) for ell in _check_balls(ells, self.n).tolist()]
+        out = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.int64)
+        for i, bins in enumerate(rows):
+            out[i, : len(bins)] = bins
+        return out
+
     def describe(self) -> str:
         return f"explicit(n={self.n},M={self.M})"
 
@@ -117,6 +146,18 @@ class InducedGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(b) for b in self.bins)
+
+
+def _check_balls(ells, n: int) -> np.ndarray:
+    """``ells`` as an int64 array, every index in [1, n]."""
+    try:
+        ells = np.asarray(ells, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ParameterError("batched ensemble queries need ball indices below 2**63") from None
+    if len(ells) and not (1 <= ells.min() and ells.max() <= n):
+        bad = ells[(ells < 1) | (ells > n)][0]
+        raise ParameterError(f"ball index {bad} outside [1, {n}]")
+    return ells
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,32 @@ def modulation_coeffs(params: ModulationParams, ell: int) -> tuple[complex, comp
     return g1, g1.conjugate(), g3, g4
 
 
+def _coeffs_many(params: ModulationParams, ells: list[int]) -> np.ndarray:
+    """4 x K array whose column k is ``modulation_coeffs(params, ells[k])``,
+    bit for bit: numpy's complex exp of an imaginary argument is libm's cos
+    and sin, exactly as in ``cmath.exp``, so g3 = 2 cos is read off g1, and g3
+    carries a 0.0 imaginary part, as a float does in CPython's complex
+    product."""
+    w = params.omega * np.array(ells, dtype=np.float64)
+    g = np.empty((4, len(ells)), dtype=np.complex128)
+    g[0] = np.exp(1j * w)
+    g[1] = np.conj(g[0])
+    g[2] = 2.0 * g[0].real
+    # the check phase, reduced mod n in exact integer arithmetic (see check_phase)
+    residues = np.array([(params.L * ell) % params.n for ell in ells], dtype=np.float64)
+    g[3] = np.exp(1j * (2.0 * math.pi * residues / params.n))
+    return g
+
+
 def encode(signal: SparseSignal, ensemble, params: ModulationParams) -> MeasurementSet:
     """y = |A x| for A = G (x) H, computed implicitly in O(K*d) time.
 
+    One numpy pass whose output is byte-identical to the plain loop: for
+    every ball in support order, add ``g_k(ell) * value`` onto the four sums
+    of each of its bins with Python complex arithmetic, then take ``abs``.
+    Each product is CPython's complex product written out in real arithmetic
+    (numpy's complex multiply can differ in the last bit), ``np.add.at``
+    accumulates in ball order, and ``np.hypot`` is the complex ``abs``.
     Bins with no active ball carry explicit zeros so bin indexing stays
     aligned with the ensemble.
     """
@@ -115,21 +138,20 @@ def encode(signal: SparseSignal, ensemble, params: ModulationParams) -> Measurem
         raise ParameterError(
             f"dimension mismatch: signal n={signal.n}, ensemble n={ensemble.n}, params n={params.n}"
         )
-    sums: dict[int, list[complex]] = {}
-    for ell, value in signal.support:
-        g1, g2, g3, g4 = modulation_coeffs(params, ell)
-        for b in ensemble.bins_of(ell):
-            acc = sums.get(b)
-            if acc is None:
-                acc = [0j, 0j, 0j, 0j]
-                sums[b] = acc
-            acc[0] += g1 * value
-            acc[1] += g2 * value
-            acc[2] += g3 * value
-            acc[3] += g4 * value
-    y = np.zeros((ensemble.M, 4), dtype=np.float64)
-    for b, acc in sums.items():
-        y[b - 1] = [abs(acc[0]), abs(acc[1]), abs(acc[2]), abs(acc[3])]
+    # rows 0-3: the real parts of every bin's four sums; rows 4-7: the imaginary parts
+    sums = np.zeros((8, ensemble.M), dtype=np.float64)
+    if signal.support:
+        ells = [ell for ell, _ in signal.support]
+        v = np.array([value for _, value in signal.support], dtype=np.complex128)
+        g = _coeffs_many(params, ells)
+        # (a + bi)(c + di) = (ac - bd) + (ad + bc)i, as CPython computes it
+        prod = np.vstack((g.real * v.real - g.imag * v.imag, g.real * v.imag + g.imag * v.real))
+        bins = ensemble.bins_many(ells)
+        ball, slot = np.nonzero(bins)  # row-major: ball order, zero padding skipped
+        rows = bins[ball, slot] - 1
+        for total, terms in zip(sums, prod):
+            np.add.at(total, rows, terms[ball])
+    y = np.ascontiguousarray(np.hypot(sums[:4], sums[4:]).T)
     return MeasurementSet(y=y, params=params, ensemble_ref=ensemble.describe())
 
 

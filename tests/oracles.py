@@ -1,9 +1,12 @@
-"""Independent oracles for the three bin processors and the design tool.
+"""Independent oracles for the encoder, the three bin processors and the design tool.
 
 These deliberately avoid the production code paths: locations come from an
 exhaustive index search, values from circle intersection, and rotations from
 a dense grid plus golden-section refinement. They share nothing with the
 decoder's cosine-law / quadratic derivation beyond the measurement model.
+
+The scalar encoder is the plain per-ball loop in Python complex arithmetic;
+the vectorized ``measurement.encode`` must reproduce its ``y`` byte for byte.
 
 The density-evolution oracle at the end solves the design tool's three
 defining equations in 40-digit ``decimal`` arithmetic by plain bisection and
@@ -21,6 +24,23 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from phasecode.measurement import ModulationParams, modulation_coeffs
+
+
+def scalar_encode(signal, ensemble, params: ModulationParams) -> np.ndarray:
+    """The M x 4 magnitudes |A x|, one ball and one bin at a time: each bin
+    sums ``modulation_coeffs(params, ell) * value`` over its balls in support
+    order, starting from 0j."""
+    sums: dict[int, list[complex]] = {}
+    for ell, value in signal.support:
+        g = modulation_coeffs(params, ell)
+        for b in ensemble.bins_of(ell):
+            acc = sums.setdefault(b, [0j, 0j, 0j, 0j])
+            for k in range(4):
+                acc[k] += g[k] * value
+    y = np.zeros((ensemble.M, 4), dtype=np.float64)
+    for b, acc in sums.items():
+        y[b - 1] = [abs(s) for s in acc]
+    return y
 
 
 @lru_cache(maxsize=8)

@@ -11,6 +11,7 @@ from phasecode.core import (
     align_global_phase,
     generate_signal,
     mix64,
+    mix_round,
     read_signal,
     write_signal,
 )
@@ -154,3 +155,51 @@ def test_mix64_spreads_and_is_deterministic():
     assert len(vals) == 1000
     assert mix64(3, 4, 5) == mix64(3, 4, 5)
     assert mix64(3, 4, 5) != mix64(3, 5, 4)
+
+
+def test_mix64_pinned_outputs():
+    # literal outputs of the splitmix64 chain; every seed in the package hangs off them
+    assert mix64(0) == 16294208416658607535
+    assert mix64(1, 2, 3) == 15020427595393229491
+    assert mix64(2**64 - 1, 0xA11CE, 7) == 675337048993080974
+    assert mix64(-1) == 16490336266968443936  # words are taken mod 2**64
+    assert mix64(12345678901234567890, 10**10, 6) == 16920974959523447025
+
+
+def test_mix_round_on_uint64_arrays_matches_python_ints():
+    rng = np.random.default_rng(5)
+    keys = np.concatenate((rng.integers(0, 2**64, 20_000, dtype=np.uint64),
+                           np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)))
+    for seed in (0, 7, 2**63 + 11, 2**64 - 1):
+        prefix = mix64(seed, 0xA11CE)
+        batch = mix64(seed, keys)
+        assert batch.dtype == np.uint64
+        assert batch.tolist() == [mix64(seed, k) for k in keys.tolist()]
+        for attempt in range(7):
+            assert mix_round(batch, attempt).tolist() == [
+                mix64(seed, k, attempt) for k in keys.tolist()
+            ]
+        assert mix_round(prefix, keys).tolist() == [mix64(seed, 0xA11CE, k) for k in keys.tolist()]
+
+
+def _scalar_support(n: int, K: int, seed: int) -> list[int]:
+    """The support draw as a plain loop: the first K distinct values of
+    1 + mix64(seed, 0xA11CE, counter) % n, sorted."""
+    chosen: set[int] = set()
+    counter = 0
+    while len(chosen) < K:
+        chosen.add(1 + mix64(seed, 0xA11CE, counter) % n)
+        counter += 1
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize(
+    "n,K",
+    [(6, 0), (6, 1), (6, 6), (1, 1), (40, 40), (1000, 999), (10**6, 1000),
+     (10**10, 1), (10**10, 4000), (1251977471850, 170)],
+)
+def test_generate_signal_support_equals_the_scalar_loop(n, K):
+    for seed in (0, 3, 2**63 + 5, 2**64 - 1):
+        sig = generate_signal(n, K, seed)
+        assert [ell for ell, _ in sig.support] == _scalar_support(n, K, seed)
+        assert all(type(ell) is int for ell, _ in sig.support)

@@ -71,6 +71,34 @@ def test_forest_members_tracking():
     assert len(forest.roots()) == 3
 
 
+def test_find_on_a_node_whose_parent_is_a_root_changes_nothing():
+    # The sweep and _member_sums skip find() on such nodes; the skip is safe
+    # only if every later value and compression comes out bit for bit the same.
+    def build(skip_free_finds: bool):
+        rng = np.random.default_rng(3)
+        forest = ColorForest()
+        for k in range(1, 41):
+            forest.add_root(k, random_value(rng))
+        for step in range(30):
+            a, b = (int(x) for x in rng.choice(np.arange(1, 41), 2, replace=False))
+            ra, rb = forest.find(a), forest.find(b)
+            if ra != rb:
+                psi = 0.0 if step % 7 == 0 else float(rng.uniform(-math.pi, math.pi))
+                forest.union(ra, rb, psi)  # psi = 0.0 can store a -0.0 rotation
+            if skip_free_finds:
+                for ell in range(1, 41):
+                    p = forest._parent[ell]
+                    if forest._parent[p] == p:
+                        forest.find(ell)
+        return forest
+
+    plain, extra = build(False), build(True)
+    for ell in range(1, 41):
+        assert plain.find(ell) == extra.find(ell)
+        assert repr(plain.value(ell)) == repr(extra.value(ell))
+        assert plain._rot[ell] == extra._rot[ell]
+
+
 # ---------------------------------------------------------------------------
 # Singleton processor
 # ---------------------------------------------------------------------------
@@ -355,6 +383,21 @@ def test_work_bounds():
     # processor invocations are bounded by one call per bin per sweep
     assert res.stats.processor_calls <= res.stats.sweeps * ens.M
     assert res.stats.resident_elements > 0
+
+
+def test_resident_elements_counts_the_engine_caches():
+    sig, ens, params, meas = _random_instance(123, K=50)
+    engine = dec._Engine(meas, ens, params, dec.DEFAULT_TOL)
+    engine.phase_singletons()
+    engine.sweeps(sig.k, allow_merge=True, max_sweeps=sig.k + 2)
+    state = 5 * ens.M + sum(map(len, engine.discovered)) + 4 * engine.forest.ball_count
+    caches = (
+        4 * len(engine.coeff_cache)
+        + (ens.d + 1) * len(engine.bins)
+        + 6 * sum(entry is not None for entry in engine.sums)
+    )
+    assert len(engine.bins) >= engine.forest.ball_count > 0 and len(engine.coeff_cache) > 0
+    assert engine.resident_elements() == state + caches
 
 
 def test_decode_rejects_mismatched_ensemble():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from phasecode.core import ParameterError, generate_signal
+from phasecode.core import ParameterError, generate_signal, mix64
 from phasecode.ensemble import (
     ExplicitEnsemble,
     build_balls_and_bins,
@@ -200,3 +200,45 @@ def test_dense_export_guard():
     ens = build_balls_and_bins(10**6, 100, 3, seed=1)
     with pytest.raises(ParameterError):
         dense_matrix(ens)
+
+
+def _assert_bins_many_equals_bins_of(ens, ells):
+    got = ens.bins_many(ells)
+    assert got.dtype == np.int64
+    assert got.tolist() == [ens.bins_of(int(ell)) for ell in ells]
+
+
+def test_bins_many_equals_bins_of_on_2e5_keys():
+    rng = np.random.default_rng(11)
+    for n, M, d, seed, count in (
+        (10**10, 14000, 7, 2**63 + 3, 120_000),
+        (1251977471850, 376, 7, 2**64 - 1, 60_000),
+        (10**6, 3320, 7, 5, 20_000),
+    ):
+        ens = build_balls_and_bins(n, M, d, seed)
+        ells = np.concatenate(([1, n], rng.integers(1, n + 1, count)))
+        _assert_bins_many_equals_bins_of(ens, ells)
+
+
+def test_bins_many_falls_back_on_rows_with_a_repeated_draw():
+    # 7 draws among 10 bins repeat a bin in most rows
+    ens = build_balls_and_bins(5000, 10, 7, seed=2**63 + 1)
+    ells = np.arange(1, 5001)
+    repeated = sum(
+        len({1 + mix64(ens.seed, int(ell), a) % ens.M for a in range(ens.d)}) < ens.d for ell in ells
+    )
+    assert repeated > 4000
+    _assert_bins_many_equals_bins_of(ens, ells)
+
+
+def test_bins_many_crt_and_explicit():
+    crt = build_crt((47, 49, 50, 53, 57, 59, 61))
+    _assert_bins_many_equals_bins_of(crt, [1, 2, 47, 12345678901, crt.n - 1, crt.n])
+    ens = ExplicitEnsemble(4, ((1, 4), (3,), (2, 3, 4), (1, 3)))
+    # rows are padded with zeros where a ball sits in fewer bins
+    assert ens.bins_many([1, 2, 3, 4]).tolist() == [[1, 4, 0], [3, 0, 0], [2, 3, 4], [1, 3, 0]]
+    for e in (crt, ens, build_balls_and_bins(10, 5, 2, seed=0)):
+        assert e.bins_many([]).shape[0] == 0
+        for bad in ([0], [1, e.n + 1], [2**70]):
+            with pytest.raises(ParameterError):
+                e.bins_many(bad)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasecode.core import ParameterError, generate_signal
-from phasecode.ensemble import build_balls_and_bins
+from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins, build_crt
 from phasecode.measurement import (
     FOURIER,
     GENERAL,
@@ -17,6 +17,8 @@ from phasecode.measurement import (
     row_tensor_product,
     write_measurements,
 )
+
+from oracles import scalar_encode
 
 # reference row-tensor-product worked example: 3x3 H and 2x3 G
 EXAMPLE_H = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float)
@@ -216,3 +218,27 @@ def test_read_measurements_rejects_malformed_files(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ParameterError):
         read_measurements(str(path))
+
+
+def _encode_cases():
+    """(ensemble, params, signal) triples covering every ensemble kind and mode."""
+    n = 10**10
+    for K, c, seed in ((4000, 3.5, 1), (1000, 2.75, 2), (1, 3.5, 3), (0, 3.5, 4)):
+        ens = build_balls_and_bins(n, max(math.ceil(c * K), 7), 7, seed=2**63 + seed)
+        yield ens, ModulationParams.draw(n, seed), generate_signal(n, K, seed=10 + seed)
+    crt = build_crt((47, 49, 50, 53, 57, 59, 61))
+    for mode in (GENERAL, FOURIER):
+        for K, seed in ((170, 5), (107, 6), (1, 7), (0, 8)):
+            yield crt, ModulationParams.draw(crt.n, seed, mode), generate_signal(crt.n, K, seed=seed)
+    explicit = ExplicitEnsemble(6, ((1, 4, 5), (3, 6), (2, 3, 4, 5, 6), (1, 3)))
+    for K in (0, 1, 2, 6):
+        for mode in (GENERAL, FOURIER):
+            yield explicit, ModulationParams.draw(6, K, mode), generate_signal(6, K, seed=K)
+
+
+def test_encode_is_byte_identical_to_the_scalar_oracle():
+    for ens, params, sig in _encode_cases():
+        y = encode(sig, ens, params).y
+        expected = scalar_encode(sig, ens, params)
+        assert y.dtype == np.float64 and y.shape == expected.shape == (ens.M, 4)
+        assert y.tobytes() == expected.tobytes(), (ens.describe(), params, sig.k)
