@@ -10,6 +10,7 @@ where a ball of an irregular explicit ensemble has fewer bins than another.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,8 +37,7 @@ class BallsAndBinsEnsemble:
     def bins_of(self, ell: int) -> list[int]:
         """Draw ``1 + mix64(seed, ell, attempt) % M`` for attempt = 0, 1, ...
         and keep the first d distinct bins; (seed, ell) is hashed once."""
-        if not 1 <= ell <= self.n:
-            raise ParameterError(f"ball index {ell} outside [1, {self.n}]")
+        ell = _ball_index(ell, self.n)
         h = mix64(self.seed, ell)
         bins: list[int] = []
         attempt = 0
@@ -88,8 +88,7 @@ class CrtEnsemble:
         return len(self.stage_heights)
 
     def bins_of(self, ell: int) -> list[int]:
-        if not 1 <= ell <= self.n:
-            raise ParameterError(f"ball index {ell} outside [1, {self.n}]")
+        ell = _ball_index(ell, self.n)
         r = ell - 1
         return [off + (r % f) + 1 for off, f in zip(self.stage_offsets, self.stage_heights)]
 
@@ -121,8 +120,7 @@ class ExplicitEnsemble:
         return max(counts) if counts else 0
 
     def bins_of(self, ell: int) -> list[int]:
-        if not 1 <= ell <= self.n:
-            raise ParameterError(f"ball index {ell} outside [1, {self.n}]")
+        ell = _ball_index(ell, self.n)
         return [i + 1 for i, balls in enumerate(self.members) if ell in balls]
 
     def bins_many(self, ells) -> np.ndarray:
@@ -146,6 +144,18 @@ class InducedGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(b) for b in self.bins)
+
+
+def _ball_index(ell, n: int) -> int:
+    """``ell`` as a Python int in [1, n]; numpy integers are accepted, and a
+    float or other non-integer raises rather than being truncated."""
+    try:
+        ell = operator.index(ell)
+    except TypeError:
+        raise ParameterError(f"ball index {ell!r} is not an integer") from None
+    if not 1 <= ell <= n:
+        raise ParameterError(f"ball index {ell} outside [1, {n}]")
+    return ell
 
 
 def _check_balls(ells, n: int) -> np.ndarray:

@@ -64,6 +64,22 @@ def test_ball_out_of_range_rejected():
         ens.bins_of(11)
 
 
+def test_numpy_integer_ball_indices_match_python_ints():
+    balls = build_balls_and_bins(10**10, 500, 7, seed=12)
+    crt = build_crt([5, 7, 9, 11])
+    for ens in (balls, crt):
+        for ell in (1, 5, 1234, ens.n):
+            want = ens.bins_of(ell)
+            assert ens.bins_of(np.int64(ell)) == want
+            assert ens.bins_of(np.uint64(ell)) == want
+        support = np.array([3, 17, 2025])
+        got = induce_graph(ens, support).bins
+        assert got == induce_graph(ens, support.tolist()).bins
+        for bad in (5.0, np.float64(5.0), 2.5, "5"):
+            with pytest.raises(ParameterError):
+                ens.bins_of(bad)
+
+
 def test_right_degrees_approach_poisson():
     # K=1e4 active balls, M=3.48K bins, d=8: degree histogram ~ Poisson(2.299)
     K, d, c = 10_000, 8, 3.48

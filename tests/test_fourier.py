@@ -146,6 +146,68 @@ def test_physical_experiment_costs(monkeypatch):
         assert calls["ffts"] == lenses, variant
 
 
+def _count_ffts(monkeypatch):
+    calls = {"ffts": 0}
+    real_fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls["ffts"] += 1
+        return real_fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    return calls
+
+
+def test_shared_field_acquisition_equals_per_stage_experiments_bytewise():
+    # ff_sparse_acquire shares each variant's field across stages; the
+    # unshared chain (one acquire_stage call per stage and variant) must give
+    # the same bytes, at odd and even n
+    for coprimes in ([5, 7, 9, 11], [4, 5, 7, 9], [3, 4, 5], [13, 17, 19]):
+        ens = build_crt(coprimes)
+        for seed in (1, 2, 3):
+            _, x = _random_spectrum_signal(ens, 4, seed=600 + seed)
+            plan = build_plan(ens, seed)
+            y = np.zeros((ens.M, 4))
+            for stage in plan.stages:
+                rows = slice(stage.offset, stage.offset + stage.f)
+                for col, variant in enumerate(("shift_fwd", "shift_bwd", "cosine", "check")):
+                    y[rows, col] = acquire_stage(x, plan, stage, variant)
+            assert ff_sparse_acquire(x, ens, seed).y.tobytes() == y.tobytes()
+
+
+def test_repeated_acquisition_spends_4s_plus_2_ffts(monkeypatch):
+    ens = build_crt([5, 7, 9, 11])
+    S = len(ens.stage_heights)
+    _, x = _random_spectrum_signal(ens, 4, seed=61)
+    ff_sparse_acquire(x, ens, seed=1)  # fills the optics cache
+    calls = _count_ffts(monkeypatch)
+    for seed in (1, 2):
+        calls["ffts"] = 0
+        ff_sparse_acquire(x, ens, seed)
+        assert calls["ffts"] == 4 * S + 2
+
+
+def test_plans_of_a_cached_code_share_read_only_optics(monkeypatch):
+    ens = build_crt([3, 4, 5])
+    first = build_plan(ens, seed=1)
+    calls = _count_ffts(monkeypatch)
+    second = build_plan(ens, seed=2)
+    assert calls["ffts"] == 0
+    assert second.params != first.params
+    assert second.cos_mask is first.cos_mask
+    for a, b in zip(first.stages, second.stages):
+        assert a.mask is b.mask
+    for arr in (first.cos_mask, first.stages[0].mask):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    # only the most recent code is kept: a new code evicts the first
+    other = build_plan(build_crt([5, 7]), seed=1)
+    assert calls["ffts"] == 2
+    assert len(other.cos_mask) == 35
+    build_plan(ens, seed=3)
+    assert calls["ffts"] == 2 + 3
+
+
 def test_replica_violation_detected():
     ens = build_crt([3, 4, 5])
     plan = build_plan(ens, seed=9)
@@ -155,7 +217,6 @@ def test_replica_violation_detected():
     bad = type(bad_stage)(
         f=bad_stage.f,
         offset=bad_stage.offset,
-        pattern=bad_stage.pattern,
         mask=corrupted,
         scale=bad_stage.scale,
     )
