@@ -3,13 +3,15 @@
 Everything here is K-free: feasibility and error floors are solved in terms of
 the bins-per-ball ratio c = M/K (equivalently the mean bin load
 lambda = d/c), so the designer never needs a concrete sparsity.
+
+The three root finders import ``scipy.optimize`` when called: the import
+costs about 0.5 s and 47 MB, which every process importing the package (a
+Monte Carlo pool worker among them) would otherwise pay without using it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.optimize import brentq
 
 from .core import ParameterError
 
@@ -73,6 +75,7 @@ def instability_range(d: int) -> tuple[float, float] | None:
     """Lambda range on which the all-uncolored fixed point is unstable:
     the two roots of (d-1) * lam * e^{-lam} = 1. None if d is too small
     (the map's maximum at lam=1 never reaches 1)."""
+    from scipy.optimize import brentq
     if d < 3:
         raise ParameterError("left degree must be at least 3")
     if (d - 1) / math.e <= 1.0:
@@ -170,6 +173,7 @@ def seed_edge_ratio(c: float, d: int, conditioning: str = POPULATION_BAYES) -> f
 
 def giant_component_range(d: int, conditioning: str = POPULATION_BAYES) -> tuple[float, float]:
     """c interval on which the seed graph grows a linear-size component."""
+    from scipy.optimize import brentq
     if not 3 <= d <= 100:
         raise ParameterError(f"left degree must be in 3..100 (c_max ~ d^2 <= 1e4), got {d}")
 
@@ -196,6 +200,7 @@ def giant_fraction(c: float, d: int, conditioning: str = POPULATION_BAYES) -> fl
     For agreement with simulation use ``conditioning="other-bins"``; the
     default matches the published windows (see ``seed_edge_ratio``).
     """
+    from scipy.optimize import brentq
     ratio = seed_edge_ratio(c, d, conditioning)
     if ratio <= 1.0:
         return 0.0

@@ -1,16 +1,44 @@
-"""Merge-and-color decoding: bin processors plus one decode engine.
+"""Merge-and-color decoding: bin processors plus two decode engines.
 
 The decoder never sees the signal support. It discovers balls through three
 guess-and-check processors, each of which hypothesizes a bin composition,
 solves the resulting trigonometric puzzle, and validates against the
-measurements (most importantly the independent check row y4). Accepted balls
-are tracked in a union-find forest whose edges carry phase rotations, so a
-merge rotates an entire color class in O(1). Unicolor and Multicolor run
-one engine with two seeding policies: Unicolor keeps only the largest
-doubleton-merged cluster of singletons, Multicolor keeps every cluster.
+measurements (most importantly the independent check row y4). Unicolor and
+Multicolor share one driver, ``_run``, with two seeding policies: Unicolor
+keeps only the largest doubleton-merged cluster of singletons, Multicolor
+keeps every cluster.
 
-The engine keeps two per-decode caches so that a discovered ball costs O(d)
-work rather than O(d * bin load) per visit of each of its bins:
+Two engines carry the growth phase, chosen by the code's size. The scalar
+``_Engine`` always seeds (singletons; for Unicolor also the doubleton pass)
+and, below ``ROUND_ENGINE_MIN_BINS`` bins, also grows. From that size on,
+``_RoundEngine`` takes the kept components over (for Unicolor the largest
+one, as the restrict would keep) and grows them. Median decode ms, seeding
+included (seeded decodes, one process on an otherwise idle 2-core VM;
+M = 67 is the Fourier-mode mask/lens code at K = 12, M = 376 the
+criterion-4 CRT code at K = 140, the rest balls-and-bins with d = 7 at
+K = 293, 1000 and 4000):
+
+    M        unicolor scalar / round    multicolor scalar / round
+    67            0.81 /   1.81              0.54 /   1.48
+    376          12.0  /   7.2              10.1  /   6.6
+    1024         27.0  /  11.9              21.7  /  13.1
+    2750        147    /  40.2             108    /  37.1
+    14000       552    / 151               425    / 182
+
+A round costs about 0.9 ms of numpy calls whatever its size, so rounds lose
+on the smallest codes and win from a few hundred bins on. The constant sits
+above the crossover so that every code the reference panel and criterion 4
+pin (M <= 376) keeps the scalar engine, whose decodes stay byte-identical to
+earlier releases; at M = 1024 the round engine is already 1.7-2.3x faster.
+The scalar engine and the scalar processors are also the reference the
+round engine is tested against.
+
+The scalar engine peels in place: it sweeps the bins in order, one Python
+call per visit, so a bin sees what earlier bins of the same sweep colored.
+Accepted balls live in a union-find forest whose edges carry phase
+rotations, so a merge rotates an entire color class in O(1). It keeps two
+per-decode caches so that a discovered ball costs O(d) work rather than
+O(d * bin load) per visit of each of its bins:
 
 - ``bins``: each ball's bins, computed once by ``ensemble.bins_of`` (at its
   membership check or its coloring) and read by every later coloring,
@@ -41,13 +69,55 @@ number (up to the sign of a zero, which ``exp(1j * rot)`` and every later
 ``0.0 + ...`` accumulation ignore). Every ``find`` that does compress a path
 still runs at the moment it ran before, so the timing above is unchanged and
 decodes stay byte-identical.
+
+The round engine runs the parallel rounds that density evolution models.
+Its state is numpy arrays: per ball its index, its value in the frame of its
+component's root (no lazy rotations), its root, its four weights and its
+bins; per bin its member table in discovery order. It takes the seeded
+balls with the weights and bins the scalar engine cached for them. A round
+
+- takes every dirty bin that is not exhausted and judges it against the
+  state at the start of the round, in batches: the exhausted test, the
+  one-unknown quadratic and its ``acos`` candidates (four per root in
+  Fourier mode), their weights, the resynthesis, and membership through
+  ``bins_many``, for one-color bins; the cosine-law merge for two-color bins;
+- colors the resolved balls in bin order, each in its bin's component. A
+  ball found through two bins keeps the lowest bin's value; a verdict whose
+  bin received another ball earlier in the round waits for the next round,
+  as does every ball beyond ``K_hint``. A bin that lost a verdict to an alias
+  is judged again once the alias is colored, since colored candidates are
+  skipped;
+- then merges, best-conditioned verdict first, rotating the smaller
+  component's values. A merge whose bin received a ball this round, or one
+  of whose roots an earlier merge of this round absorbed, waits for the next
+  round. Several bins often offer the same pair of components; taking the
+  verdict whose cosine law is best conditioned (sin(gamma) times the class
+  magnitudes) rather than the lowest bin cut the worst multicolor value
+  error at n = 1e6, K = 1000, c = 2.75 from 6.5e-6 to 5.3e-7 over 200 seeds.
+
+Seeding stays scalar although it could be batched too: a prototype that
+batched it ran the n = 1e10, K = 4000 unicolor decode in ~75 ms instead of
+~160 ms, but Unicolor grows from a small seed cluster in 8 to 12 rounds, so
+at K = 1000 the rounds' fixed cost was ~40% of the decode and criterion 5's
+K = 1000 -> 2000 time ratio fell to the floor of its band (median 1.62 over
+8 runs, 4 of them failing). With the scalar seeding the ratios sit where the
+scalar engine's did.
+
+``sweeps`` counts rounds, and ``max_sweeps`` caps them. A sweep sees the
+bins it has already updated, a round does not, so a decode needs more
+rounds than sweeps: at n = 1e10, K = 4000 the ``sweeps`` statistic (seeding
+included) is 11 to 13 for Unicolor where the scalar engine reports 7 or 8,
+and 7 for Multicolor where it reports 3. Supports equal the scalar engine's
+up to the ill-conditioned locations of very large n; values differ in the
+last bits.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,12 +127,23 @@ from .core import (
     ParameterError,
     RecoveryStatus,
 )
-from .measurement import FOURIER, GENERAL, MeasurementSet, ModulationParams, modulation_coeffs
+from .measurement import (
+    FOURIER,
+    GENERAL,
+    MeasurementSet,
+    ModulationParams,
+    _coeffs_many,
+    modulation_coeffs,
+)
 
 DEFAULT_TOL = 1e-6
 ALGORITHMS = ("unicolor", "multicolor")
+# Codes with at least this many bins grow on the round engine, smaller ones
+# on the scalar engine (measured crossover in the module docstring).
+ROUND_ENGINE_MIN_BINS = 1024
 
 _TWO_PI = 2.0 * math.pi
+_SIGNS = np.array([[1.0], [-1.0]])  # the two signs of an arccos, as a column
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +164,7 @@ class ColorForest:
         self._rot: dict[int, float] = {}
         self._val: dict[int, complex] = {}
         self._size: dict[int, int] = {}
-        self._members: dict[int, list[int]] = {}
+        self._members: dict[int, Sequence[int]] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -120,7 +201,7 @@ class ColorForest:
     def size(self, root: int) -> int:
         return self._size[root]
 
-    def members(self, root: int) -> list[int]:
+    def members(self, root: int) -> Sequence[int]:
         return self._members[root]
 
     def roots(self) -> list[int]:
@@ -138,7 +219,7 @@ class ColorForest:
         self._rot[ell] = 0.0
         self._val[ell] = value
         self._size[ell] = 1
-        self._members[ell] = [ell]
+        self._members[ell] = (ell,)  # a list once the component grows, see _grown
         return ell
 
     def add_member(self, ell: int, value: complex, root: int) -> None:
@@ -152,9 +233,18 @@ class ColorForest:
         self._rot[ell] = 0.0
         self._val[ell] = value
         self._size[root] += 1
-        self._members[root].append(ell)
+        self._grown(root).append(ell)
 
-    def union(self, root_a: int, root_b: int, psi: float) -> tuple[int, list[int]]:
+    def _grown(self, root: int) -> list[int]:
+        """The members of ``root`` as a list. A one-ball component keeps a
+        tuple, which the garbage collector stops tracking; a list per
+        singleton made large decodes set off full collections."""
+        mem = self._members[root]
+        if type(mem) is tuple:
+            mem = self._members[root] = list(mem)
+        return mem
+
+    def union(self, root_a: int, root_b: int, psi: float) -> tuple[int, Sequence[int]]:
         """Merge components so that a-frame value = exp(i*psi) * b-frame value.
 
         Returns (new root, balls whose root changed). Union by size.
@@ -168,7 +258,7 @@ class ColorForest:
         self._parent[small] = big
         self._rot[small] = rot_small
         moved = self._members.pop(small)
-        self._members[big].extend(moved)
+        self._grown(big).extend(moved)
         self._size[big] += self._size.pop(small)
         return big, moved
 
@@ -179,7 +269,7 @@ class BinState:
 
     bin_id: int  # 1-based, aligned with the ensemble's global bin indexing
     y: tuple[float, float, float, float]
-    discovered: list[int] = field(default_factory=list)
+    discovered: Sequence[int] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +300,49 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
         if 1 <= ell <= n and ell not in out:
             out.append(ell)
     return out
+
+
+def _locations(cos_abs: np.ndarray, params: ModulationParams) -> np.ndarray:
+    """``location_candidates`` over an array: the candidates of each entry
+    along a new last axis, in the same order, with 0 where a slot holds no
+    candidate or repeats an earlier one."""
+    a = np.arccos(np.clip(cos_abs, 0.0, 1.0))
+    n = params.n
+    if params.mode == GENERAL:
+        theta = a[..., None]
+    else:
+        theta = np.stack((a, math.pi - a, math.pi + a, _TWO_PI - a), axis=-1)
+    ell = np.rint(theta / params.omega)
+    if params.mode == FOURIER:
+        ell[ell == 0] = n  # theta ~ 0 and theta ~ 2pi name the same ball
+    ell = np.where((ell >= 1) & (ell <= n), ell, 0).astype(np.int64)
+    for k in range(1, ell.shape[-1]):
+        ell[..., k][(ell[..., k : k + 1] == ell[..., :k]).any(axis=-1)] = 0
+    return ell
+
+
+def _padded(a: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """``a`` zero-padded along ``axis`` to at least ``size`` entries, growing
+    at least twofold so that repeated growth stays linear."""
+    have = a.shape[axis]
+    if have >= size:
+        return a
+    shape = list(a.shape)
+    shape[axis] = max(size, 2 * have)
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(slice(0, k) for k in a.shape)] = a
+    return out
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct value.
+    (``np.unique`` would do, but its first call imports ``numpy.ma``, some
+    15 ms that would land in a process's first decode.)"""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(order[first])
 
 
 def _coeffs(params: ModulationParams, ell: int, cache: dict | None):
@@ -476,6 +609,35 @@ def process_resolvable(
 # Decode engine
 # ---------------------------------------------------------------------------
 
+def _largest(components: dict[int, list], index_of: Callable[[list], list[int]]):
+    """The root of the largest component, ties going to the one holding the
+    smallest ball index; None when nothing is colored."""
+    if not components:
+        return None
+    size = max(map(len, components.values()))
+    tied = [root for root, mem in components.items() if len(mem) == size]
+    return min(tied, key=lambda root: min(index_of(components[root])))
+
+
+def _result(recovered: list, K_hint: int, stats: DecodeStats) -> DecodeResult:
+    if K_hint > 0:
+        fraction = len(recovered) / K_hint
+    else:
+        fraction = 1.0
+    if not recovered and K_hint > 0:
+        status = RecoveryStatus.FAILURE
+    elif len(recovered) >= K_hint:
+        status = RecoveryStatus.FULL_RECOVERY
+    else:
+        status = RecoveryStatus.PARTIAL_RECOVERY
+    return DecodeResult(
+        recovered=recovered,
+        status=status,
+        fraction_recovered=fraction,
+        stats=stats,
+    )
+
+
 class _Engine:
     def __init__(self, meas: MeasurementSet, ensemble, params: ModulationParams, tol: float):
         if params.n != ensemble.n:
@@ -491,25 +653,29 @@ class _Engine:
         self.params = params
         self.tol = tol
         self.M = meas.M
-        self.ybins: list[tuple[float, float, float, float]] = [
-            tuple(row) for row in meas.y.tolist()
-        ]
-        self.discovered: list[list[int]] = [[] for _ in range(self.M)]
+        # No Python container per bin or ball that the garbage collector has
+        # to keep tracking: the measurements as one flat list of floats, each
+        # bin's members and each cached ``bins_of`` answer as a tuple (tuples
+        # of ints leave the collector's books, lists stay). Lists living as
+        # long as the decode made large decodes set off full collections of
+        # the whole process's heap.
+        self.yflat: list[float] = meas.y.ravel().tolist()
+        self.discovered: list[tuple[int, ...]] = [()] * self.M
         self.dirty = bytearray(self.M)
         self.exhausted = bytearray(self.M)
         self.forest = ColorForest()
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
-        self.bins: dict[int, list[int]] = {}
+        self.bins: dict[int, tuple[int, ...]] = {}
         # per bin: None or (root, count, a, b, c, dd), see the module docstring
         self.sums: list[tuple | None] = [None] * self.M
 
     # -- helpers ------------------------------------------------------------
 
-    def bins_of(self, ell: int) -> list[int]:
+    def bins_of(self, ell: int) -> tuple[int, ...]:
         got = self.bins.get(ell)
-        if got is None:
-            got = self.bins[ell] = self.ensemble.bins_of(ell)
+        if got is None:  # a tuple, for the same reason as the members in __init__
+            got = self.bins[ell] = tuple(self.ensemble.bins_of(ell))
         return got
 
     def membership(self, bin_id: int) -> Callable[[int], bool]:
@@ -540,12 +706,13 @@ class _Engine:
             self.forest.add_member(ell, value, root)
         for b in self.bins_of(ell):
             b0 = b - 1
-            self.discovered[b0].append(ell)
+            self.discovered[b0] += (ell,)
             self.dirty[b0] = 1
             self.exhausted[b0] = 0
 
     def bin_state(self, b0: int) -> BinState:
-        return BinState(bin_id=b0 + 1, y=self.ybins[b0], discovered=self.discovered[b0])
+        y = tuple(self.yflat[4 * b0 : 4 * b0 + 4])
+        return BinState(bin_id=b0 + 1, y=y, discovered=self.discovered[b0])
 
     # -- phases ---------------------------------------------------------------
 
@@ -588,20 +755,13 @@ class _Engine:
             process_mergeable(self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache)
 
     def largest_root(self) -> int | None:
-        best = None
-        best_key = None
-        for root in self.forest.roots():
-            mem = self.forest.members(root)
-            key = (len(mem), -min(mem))
-            if best_key is None or key > best_key:
-                best, best_key = root, key
-        return best
+        return _largest(self.forest._members, lambda mem: mem)
 
     def restrict_to_component(self, root: int) -> None:
         """Uncolor every ball outside ``root``'s component and forget its value."""
         survivors = self.forest.component_items(root)
         self.forest = ColorForest()
-        self.discovered = [[] for _ in range(self.M)]
+        self.discovered = [()] * self.M
         self.sums = [None] * self.M
         (first_ell, first_val), rest = survivors[0], survivors[1:]
         self.color_ball(first_ell, first_val, None)
@@ -697,41 +857,394 @@ class _Engine:
     def result(self, K_hint: int, sweeps: int) -> DecodeResult:
         root = self.largest_root()
         recovered = [] if root is None else sorted(self.forest.component_items(root))
-        if K_hint > 0:
-            fraction = len(recovered) / K_hint
-        else:
-            fraction = 1.0
-        if not recovered and K_hint > 0:
-            status = RecoveryStatus.FAILURE
-        elif len(recovered) >= K_hint:
-            status = RecoveryStatus.FULL_RECOVERY
-        else:
-            status = RecoveryStatus.PARTIAL_RECOVERY
         self.stats.sweeps = sweeps
         self.stats.resident_elements = self.resident_elements()
-        return DecodeResult(
-            recovered=recovered,
-            status=status,
-            fraction_recovered=fraction,
-            stats=self.stats,
+        return _result(recovered, K_hint, self.stats)
+
+
+class _RoundEngine:
+    """Round-synchronous peeling over numpy state; see the module docstring.
+
+    Balls live in slots 1..count-1 of per-ball arrays: index, value in the
+    frame of its component's root, root slot, the four modulation weights (a
+    row per ball) and its bins; ``colored`` holds the colored indices.
+    Slot 0 is an all-zero sentinel that pads ``table``, the member slots of
+    each bin in discovery order (``load`` of them per bin). ``dirty`` marks
+    the bins the next round judges: bins with members, none exhausted."""
+
+    def __init__(self, seeded: _Engine, roots: list[int]):
+        """Take over the components of ``roots`` that the scalar engine
+        ``seeded`` colored while seeding, with the weights and bins it cached
+        for their balls."""
+        self.ensemble = seeded.ensemble
+        self.params = seeded.params
+        self.tol = tol = seeded.tol
+        self.M = seeded.M
+        self.y = seeded.meas.y
+        y1, y2, y3 = self.y[:, 0], self.y[:, 1], self.y[:, 2]
+        scale = self.y.max(axis=1, initial=0.0)
+        self.lit = scale > 0.0  # bins with a nonzero measurement
+        self.t = tol * scale  # per-bin acceptance margin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
+            # the bins whose measurements admit "members plus one unknown",
+            # and the two z = (y1/y2) exp(+-i alpha0) of _resolvable_full
+            self.open = (y1 > self.t) & (y2 > self.t) & (np.abs(carg) <= 1.0 + tol)
+            self.z = (y1 / y2) * np.exp(1j * _SIGNS * np.arccos(carg.clip(-1.0, 1.0)))
+        self.stats = seeded.stats
+        slots = self.M // 2 + 1  # room for M/2 balls before the first growth
+        self.count = 1
+        self.ell = np.zeros(slots, dtype=np.int64)
+        self.colored: set[int] = set()
+        self.val = np.zeros(slots, dtype=np.complex128)
+        self.root = np.zeros(slots, dtype=np.int64)
+        self.root[0] = -1
+        self.g = np.zeros((slots, 4), dtype=np.complex128)
+        self.gv = np.zeros((slots, 4), dtype=np.complex128)  # g * value, per ball
+        self.bins = np.zeros((slots, 0), dtype=np.int64)
+        self.comp: dict[int, list[int]] = {}  # root slot -> member slots
+        self.table = np.zeros((self.M, 8), dtype=np.int32)
+        self.load = np.zeros(self.M, dtype=np.int64)
+        self.dirty = np.zeros(self.M, dtype=bool)
+        self.exhausted = np.zeros(self.M, dtype=bool)
+        forest = seeded.forest
+        comps = [forest.component_items(root) for root in roots]
+        ells = [ell for comp in comps for ell, _ in comp]
+        bins = [seeded.bins[ell] for ell in ells]
+        padded = np.zeros((len(ells), max(map(len, bins), default=0)), dtype=np.int64)
+        for row, got in zip(padded, bins):
+            row[: len(got)] = got
+        sizes = [len(comp) for comp in comps]
+        self.add_balls(
+            np.array(ells, dtype=np.int64),
+            np.array([value for comp in comps for _, value in comp], dtype=np.complex128),
+            np.repeat(np.cumsum([1] + sizes[:-1]), sizes),  # each component's first slot is its root
+            np.array([seeded.coeff_cache[ell] for ell in ells], dtype=np.complex128).reshape(-1, 4),
+            padded,
         )
 
+    @property
+    def ball_count(self) -> int:
+        return self.count - 1
 
-def _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge: bool) -> DecodeResult:
-    """Both decoders: ``merge`` keeps every singleton cluster and merges in the
-    sweeps; otherwise one doubleton pass seeds a single cluster."""
-    engine = _Engine(meas, ensemble, params or meas.params, tol)
+    def is_colored(self, ells: np.ndarray) -> np.ndarray:
+        colored = self.colored
+        return np.array([ell in colored for ell in ells.tolist()], dtype=bool)
+
+    def add_balls(self, ells, vals, roots, g, bins) -> None:
+        """Color balls into the components ``roots`` (root slots); row i of
+        ``g`` and ``bins`` holds ball i's weights and bins, 0 padding the
+        bins."""
+        start, end = self.count, self.count + len(ells)
+        self.ell = _padded(self.ell, end, 0)
+        self.val = _padded(self.val, end, 0)
+        self.root = _padded(self.root, end, 0)
+        self.g = _padded(self.g, end, 0)
+        self.gv = _padded(self.gv, end, 0)
+        self.bins = _padded(_padded(self.bins, end, 0), bins.shape[1], 1)
+        slots = np.arange(start, end)
+        self.ell[start:end] = ells
+        self.val[start:end] = vals
+        self.root[start:end] = roots
+        self.g[start:end] = g
+        self.gv[start:end] = g * self.val[start:end, None]
+        self.bins[start:end, : bins.shape[1]] = bins
+        self.count = end
+        self.colored.update(ells.tolist())
+        for r, slot in zip(roots.tolist(), slots.tolist()):
+            self.comp.setdefault(r, []).append(slot)
+        # enter each ball in its bins, after the members already there
+        flat = bins.ravel()
+        entered = flat > 0
+        b0 = flat[entered] - 1
+        owner = np.repeat(slots, bins.shape[1])[entered]
+        count = np.bincount(b0, minlength=self.M)
+        pos = self.load[b0]
+        if count.max(initial=0) > 1:  # balls of the batch share a bin: rank them in it
+            order = np.argsort(b0, kind="stable")
+            b0, owner = b0[order], owner[order]
+            pos = self.load[b0] + np.arange(len(b0)) - b0.searchsorted(b0)
+        self.table = _padded(self.table, int(pos.max(initial=-1)) + 1, 1)
+        self.table[b0, pos] = owner
+        self.load += count
+        self.dirty[b0] = True
+        self.exhausted[b0] = False
+
+    # -- vectorized bin processors -------------------------------------------
+
+    def _resolve(self, B: np.ndarray, sums: np.ndarray):
+        """``_resolvable_full`` over the one-color bins ``B`` (0-based) whose
+        members sum to ``sums`` (a row of four per bin). Returns the exhausted
+        mask over ``B``; per resolved bin its position in ``B``, the new ball,
+        its value, its weights and its bins; and the (bin, ball) pairs of the
+        hits that bins rejected as aliases of another hit."""
+        tol = self.tol
+        y = self.y[B]
+        t = self.t[B]
+        mag = np.abs(sums)
+        exhausted = (np.abs(mag - y) <= t[:, None]).all(axis=1) & self.lit[B]
+        p = np.flatnonzero(self.open[B] & (mag[:, 2] > t) & ~exhausted)
+        kk = (y[p, 2] / mag[p, 2]) ** 2
+        a, b, c = sums[p, 0], sums[p, 1], sums[p, 2]
+        z = self.z[:, B[p]]  # rows: both signs of alpha0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k1 = 1.0 - z + 2.0 * (z * b - a) / c
+            k2 = 1.0 + z
+            k3 = 1.0 - z
+            k5 = np.abs(k1) ** 2 - kk * np.abs(k3) ** 2
+            k6 = np.abs(k2) ** 2 * (1.0 - kk)
+            k7 = 2.0 * (np.conj(k2) * (kk * k3 - k1)).imag
+            qa = (k5 - k6) ** 2 + k7 * k7
+            qb = 2.0 * k6 * (k5 - k6) - k7 * k7
+            qc = k6 * k6
+            disc = qb * qb - 4.0 * qa * qc
+            ok = (qa > 0.0) & (disc >= -tol * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
+            # axes: sign, root of the quadratic (+sqrt first), bin
+            u = (-qb[:, None] + _SIGNS.T[:, :, None] * np.sqrt(np.maximum(disc, 0.0))[:, None]) / (2.0 * qa)[:, None]
+            ok = ok[:, None] & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+            cand = _locations(np.sqrt(u.clip(0.0, 1.0)), self.params)
+            cand[~ok] = 0
+            # per bin: sign, then root, then location, as in _resolvable_full
+            per_sign = 2 * cand.shape[-1]
+            cand = cand.transpose(2, 0, 1, 3).reshape(len(p), 2 * per_sign)
+            i, j = cand.nonzero()
+            ells = cand[i, j]
+            zc = z[j // per_sign, i]
+            # the three rows that need only g1 = exp(i omega ell) first, as in
+            # _coeffs_many; the check row, the colored test and membership
+            # then run on the few candidates left
+            g1 = np.exp(1j * (self.params.omega * ells))
+            g2 = np.conj(g1)
+            denom = g1 - zc * g2
+            x = (zc * b[i] - a[i]) / denom
+            bi, ti = p[i], t[p[i]]
+            keep = (
+                (np.abs(denom) > 1e-14)
+                & (np.abs(np.abs(sums[bi, 0] + g1 * x) - y[bi, 0]) <= ti)
+                & (np.abs(np.abs(sums[bi, 1] + g2 * x) - y[bi, 1]) <= ti)
+                & (np.abs(np.abs(sums[bi, 2] + 2.0 * g1.real * x) - y[bi, 2]) <= ti)
+            )
+        i, ells, x = i[keep], ells[keep], x[keep]
+        g = _coeffs_many(self.params, ells).T
+        bi = p[i]
+        keep = ~self.is_colored(ells) & (np.abs(np.abs(sums[bi, 3] + g[:, 3] * x) - y[bi, 3]) <= t[bi])
+        i, ells, x, g = i[keep], ells[keep], x[keep], g[keep]
+        # membership is the costly filter; apply it last
+        rows = self.ensemble.bins_many(ells)
+        keep = (rows == B[p[i], None] + 1).any(axis=1)
+        i, ells, x, g, rows = i[keep], ells[keep], x[keep], g[keep], rows[keep]
+        hits = (p[i], ells, x, g, rows)
+        aliased = np.zeros(0, dtype=np.int64)
+        if (i[1:] == i[:-1]).any():
+            # exactly one hit per bin: every hit must repeat the bin's first one
+            first = np.concatenate(([True], i[1:] != i[:-1]))
+            lead = np.maximum.accumulate(np.where(first, np.arange(len(i)), 0))
+            same = (ells == ells[lead]) & (np.abs(x - x[lead]) <= 1e-9 * np.maximum(1.0, np.abs(x)))
+            alias = np.zeros(len(p), dtype=bool)
+            alias[i[~same]] = True
+            take = np.flatnonzero(first & ~alias[i])
+            hits = tuple(v[take] for v in hits)
+            aliased = np.flatnonzero(alias[i])
+        return exhausted, hits, (B[p[i[aliased]]], ells[aliased])
+
+    def _merge(self, B: np.ndarray, rs: np.ndarray, bs: np.ndarray):
+        """``process_mergeable`` over the two-color bins ``B`` with class sums
+        ``rs`` and ``bs`` (a row of four per bin each). Returns the accepted
+        mask; psi, such that the b-class values times exp(i psi) are in the
+        r-class frame; and how well each psi is conditioned, sin(gamma) times
+        the two class magnitudes over y1**2 (the cosine law loses precision
+        as gamma nears 0 or pi, or a class sum nears 0)."""
+        tol = self.tol
+        y = self.y[B]
+        t = self.t[B]
+        r1, b1 = np.abs(rs[:, 0]), np.abs(bs[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            carg = (y[:, 0] * y[:, 0] - r1**2 - b1**2) / (2.0 * r1 * b1)
+            ok = self.lit[B] & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + tol)
+        psi = _SIGNS * np.arccos(carg.clip(-1.0, 1.0)) + (np.angle(rs[:, 0]) - np.angle(bs[:, 0]))
+        synth = np.abs(rs + np.exp(1j * psi)[:, :, None] * bs)
+        passes = (np.abs(synth - y) <= t[:, None]).all(axis=2)
+        same = np.abs(np.exp(1j * (psi[1] - psi[0])) - 1.0) <= 1e-9
+        ok &= (passes[0] ^ passes[1]) | (passes[0] & passes[1] & same)
+        conditioning = np.sqrt(np.maximum(1.0 - carg * carg, 0.0)) * r1 * b1 / (y[:, 0] * y[:, 0])
+        return ok, np.where(passes[0], psi[0], psi[1]), conditioning
+
+    # -- rounds ---------------------------------------------------------------
+
+    def decoded_fully(self, K_hint: int, allow_merge: bool) -> bool:
+        if self.ball_count < K_hint:
+            return False
+        return not allow_merge or len(self.comp) == 1
+
+    def sweeps(self, K_hint: int, allow_merge: bool, max_sweeps: int) -> int:
+        """Rounds until decoded, capped at ``max_sweeps``; returns rounds run."""
+        done = 0
+        while done < max_sweeps and not self.decoded_fully(K_hint, allow_merge):
+            done += 1
+            if not self.round(K_hint, allow_merge):
+                break
+        return done
+
+    def round(self, K_hint: int, allow_merge: bool) -> bool:
+        """One round: every dirty bin judged against the state at its start,
+        then the verdicts applied. Returns whether anything changed."""
+        B = np.flatnonzero(self.dirty)
+        self.dirty[B] = False
+        slots = self.table[B, : self.load[B].max(initial=0)]
+        at, col = slots.nonzero()  # bin-major, members in discovery order
+        members = slots[at, col]
+        starts = np.flatnonzero(col == 0)
+        contrib = self.gv[members]
+        roots = self.root[members]
+        first = roots[starts]
+        one = np.ones(len(B), dtype=bool)
+        if allow_merge:
+            in_first = roots == first[at]
+            second = np.full(len(B), -1, dtype=np.int64)
+            np.maximum.at(second, at, np.where(in_first, -1, roots))
+            one = second < 0
+            two = ~one
+            two[at[~in_first & (roots != second[at])]] = False  # three or more colors
+        if self.ball_count >= K_hint:
+            one[:] = False  # nothing left to resolve, only merges remain
+        self.stats.processor_calls += int(one.sum() + (two.sum() if allow_merge else 0))
+        changed = False
+        joined = np.zeros(self.M, dtype=bool)
+        if one.any():
+            R = np.flatnonzero(one)
+            sums = np.add.reduceat(contrib, starts)[R]
+            exhausted, (pos, ells, x, g, rows), (alias_bins, aliases) = self._resolve(B[R], sums)
+            self.exhausted[B[R[exhausted]]] = True
+            changed = self._color(B[R[pos]], ells, x, first[R[pos]], g, rows, K_hint, joined)
+            # colored candidates are skipped, so coloring an alias can settle its bin
+            self.dirty[alias_bins[self.is_colored(aliases)]] = True
+        if allow_merge and two.any():
+            T = np.flatnonzero(two)
+            rs = np.add.reduceat(np.where(in_first[:, None], contrib, 0), starts)[T]
+            bs = np.add.reduceat(np.where(in_first[:, None], 0, contrib), starts)[T]
+            ok, psi, conditioning = self._merge(B[T], rs, bs)
+            # best-conditioned verdicts first: a pair of components that
+            # several bins would merge takes the most precise rotation
+            order = np.flatnonzero(ok)[np.argsort(-conditioning[ok], kind="stable")]
+            T = T[order]
+            changed |= self._union(B[T], first[T], second[T], psi[order], joined)
+        return changed
+
+    def _color(self, bins0, ells, x, roots, g, rows, K_hint, joined) -> bool:
+        """Apply resolved balls in bin order. A ball found through two bins
+        keeps the lowest bin's value; a verdict whose bin an earlier ball of
+        this round joins waits for the next round, as does every ball past
+        ``K_hint``."""
+        keep = _first_occurrences(ells)
+        if (np.bincount(rows[keep].ravel(), minlength=self.M + 1)[bins0[keep] + 1] > 1).any():
+            touched: set[int] = set()
+            kept = []
+            for k, b, row in zip(keep.tolist(), bins0[keep].tolist(), rows[keep].tolist()):
+                if b + 1 not in touched:
+                    kept.append(k)
+                    touched.update(row)
+            keep = np.array(kept, dtype=np.int64)
+        keep = keep[: max(K_hint - self.ball_count, 0)]
+        if not len(keep):
+            return False
+        self.add_balls(ells[keep], x[keep], roots[keep], g[keep], rows[keep])
+        joined[rows[keep][rows[keep] > 0] - 1] = True
+        return True
+
+    def _union(self, bins0, roots_r, roots_b, psi, joined) -> bool:
+        """Apply accepted merges in the given order, rotating the smaller
+        component eagerly. A merge whose bin a ball joined this round, or one
+        of whose roots an earlier merge of this round absorbed, waits for the
+        next."""
+        comp = self.comp
+        moved, factors, targets, merged, waiting = [], [], [], [], []
+        for b, r, q, angle in zip(bins0.tolist(), roots_r.tolist(), roots_b.tolist(), psi.tolist()):
+            if joined[b] or r not in comp or q not in comp:
+                waiting.append(b)
+                continue
+            if len(comp[r]) >= len(comp[q]):
+                big, small, rot = r, q, angle
+            else:
+                big, small, rot = q, r, -angle
+            members = comp.pop(small)
+            comp[big].extend(members)
+            moved.append(members)
+            factors.append(cmath.exp(1j * rot))
+            targets.append(big)
+            merged.append(b)
+        self.dirty[waiting] = True
+        if not merged:
+            return False
+        self.exhausted[merged] = True
+        # the rotations, in merge order: a ball moved twice takes both, and
+        # the root of its last move
+        sizes = [len(members) for members in moved]
+        slots = np.fromiter(itertools.chain.from_iterable(moved), dtype=np.int64, count=sum(sizes))
+        np.multiply.at(self.val, slots, np.repeat(factors, sizes))
+        last = np.zeros(self.count, dtype=np.int64)
+        np.maximum.at(last, slots, np.arange(len(slots)))
+        self.root[slots] = np.repeat(targets, sizes)[last[slots]]
+        self.gv[slots] = self.g[slots] * self.val[slots, None]
+        rows = self.bins[slots].ravel()
+        rows = rows[rows > 0] - 1
+        self.dirty[rows[~self.exhausted[rows]]] = True  # their values rotated: revisit their bins
+        return True
+
+    # -- results --------------------------------------------------------------
+
+    def resident_elements(self) -> int:
+        """Live entries only: 5 per bin (measurements and flags), one per
+        member-table entry, and per ball its index, value, root, component
+        and colored-set entries, four weights, four weighted values and one
+        per bin it occupies."""
+        return (
+            5 * self.M
+            + int(self.load.sum())
+            + 13 * self.ball_count
+            + int(np.count_nonzero(self.bins[1 : self.count]))
+        )
+
+    def largest_root(self) -> int | None:
+        return _largest(self.comp, lambda mem: self.ell[mem])
+
+    def result(self, K_hint: int, sweeps: int) -> DecodeResult:
+        root = self.largest_root()
+        recovered = []
+        if root is not None:
+            mem = self.comp[root]
+            mem = np.array(mem)[np.argsort(self.ell[mem])]
+            recovered = list(zip(self.ell[mem].tolist(), self.val[mem].tolist()))
+        self.stats.sweeps = sweeps
+        self.stats.resident_elements = self.resident_elements()
+        return _result(recovered, K_hint, self.stats)
+
+
+def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow=None) -> DecodeResult:
+    """Both decoders: ``merge`` keeps every singleton cluster and merges in
+    the sweeps; otherwise one doubleton pass seeds a single cluster. The
+    scalar ``engine`` seeds; ``grow`` (the round engine), when given, takes
+    the kept clusters over from it for the growth phase."""
     if K_hint == 0:
         return engine.result(0, 0)
     engine.phase_singletons()
     if engine.forest.ball_count == 0:
         return engine.result(K_hint, 1)
+    roots = engine.forest.roots()
     if not merge:
         engine.phase_doubletons()
-        engine.restrict_to_component(engine.largest_root())
+        roots = [engine.largest_root()]
+    if grow is not None:
+        engine = grow(engine, roots)
+    elif not merge:
+        engine.restrict_to_component(roots[0])
     cap = max_sweeps if max_sweeps is not None else K_hint + 2
     done = engine.sweeps(K_hint, allow_merge=merge, max_sweeps=cap)
     return engine.result(K_hint, (1 if merge else 2) + done)
+
+
+def _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge: bool) -> DecodeResult:
+    grow = _RoundEngine if meas.M >= ROUND_ENGINE_MIN_BINS else None
+    return _run(_Engine(meas, ensemble, params or meas.params, tol), K_hint, max_sweeps, merge, grow)
 
 
 def decode_unicolor(

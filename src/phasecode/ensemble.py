@@ -53,9 +53,8 @@ class BallsAndBinsEnsemble:
         with ``bins_of`` itself for the rare row that repeats a bin."""
         ells = _check_balls(ells, self.n)
         h = mix64(self.seed, ells.astype(np.uint64))
-        out = np.empty((len(ells), self.d), dtype=np.int64)
-        for attempt in range(self.d):
-            out[:, attempt] = 1 + mix_round(h, attempt) % self.M
+        attempts = np.arange(self.d, dtype=np.uint64)
+        out = (1 + mix_round(h[:, None], attempts) % np.uint64(self.M)).astype(np.int64)
         drawn = np.sort(out, axis=1)
         for i in np.flatnonzero((drawn[:, 1:] == drawn[:, :-1]).any(axis=1)):
             out[i] = self.bins_of(int(ells[i]))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 import numpy as np
 
@@ -60,9 +61,10 @@ class ModulationParams:
         """omega_prime * ell reduced mod 2*pi using exact integer arithmetic.
 
         For n ~ 1e10 the raw product overflows double precision long before
-        the trig call; (L*ell) mod n keeps full accuracy.
+        the trig call; (L*ell) mod n keeps full accuracy. A numpy integer
+        ``ell`` is taken as a Python int, whose product cannot wrap.
         """
-        return 2.0 * math.pi * ((self.L * ell) % self.n) / self.n
+        return 2.0 * math.pi * ((self.L * operator.index(ell)) % self.n) / self.n
 
     @staticmethod
     def draw(n: int, seed: int, mode: str = GENERAL) -> "ModulationParams":
@@ -117,9 +119,29 @@ def _coeffs_many(params: ModulationParams, ells: list[int]) -> np.ndarray:
     g[1] = np.conj(g[0])
     g[2] = 2.0 * g[0].real
     # the check phase, reduced mod n in exact integer arithmetic (see check_phase)
-    residues = np.array([(params.L * ell) % params.n for ell in ells], dtype=np.float64)
+    residues = _mulmod(params.L, ells, params.n).astype(np.float64)
     g[3] = np.exp(1j * (2.0 * math.pi * residues / params.n))
     return g
+
+
+def _mulmod(L: int, ells, n: int) -> np.ndarray:
+    """(L * ell) % n for every ell in ``ells`` (0 <= L, ell <= n), exactly.
+
+    Horner's rule over s-bit chunks of ell, with s = 64 - bitlength(n), keeps
+    every intermediate below 2**64: the running residue shifted by s bits,
+    and L times a chunk. For n >= 2**63 no chunk fits, and the residues are
+    taken with Python ints."""
+    bits = n.bit_length()
+    s = 64 - bits
+    if s < 1:
+        return np.array([(L * operator.index(ell)) % n for ell in ells], dtype=object)
+    e = np.asarray(ells, dtype=np.int64).astype(np.uint64)
+    n64, L64, width, mask = np.uint64(n), np.uint64(L), np.uint64(s), np.uint64((1 << s) - 1)
+    acc = np.zeros(e.shape, dtype=np.uint64)
+    for shift in range(s * ((bits - 1) // s), -1, -s):
+        chunk = (e >> np.uint64(shift)) & mask
+        acc = ((acc << width) % n64 + (L64 * chunk) % n64) % n64
+    return acc
 
 
 def encode(signal: SparseSignal, ensemble, params: ModulationParams) -> MeasurementSet:

@@ -211,12 +211,24 @@ def test_nonsparse_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _run_phasecode(*args):
-    """``python -m phasecode ARGS`` in a child that finds the package where
-    this process did, installed or not."""
+def _run_python(*args):
+    """``python ARGS`` in a child that finds the package where this process
+    did, installed or not."""
     paths = [str(Path(phasecode.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.run([sys.executable, "-m", "phasecode", *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_phasecode(*args):
+    return _run_python("-m", "phasecode", *args)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only the design tool's root finders need it, and every importing
+    # process (each Monte Carlo pool worker) would pay ~0.5 s for it
+    proc = _run_python("-c", "import sys, phasecode.cli; print('scipy.optimize' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_smoke_via_subprocess():

@@ -351,9 +351,16 @@ def _random_instance(seed, n=4096, K=25, d=7, c=3.5):
     return sig, ens, params, encode(sig, ens, params)
 
 
-def test_no_false_coloring_and_correct_values():
+def _instances():
+    """40 small codes, then one with at least ROUND_ENGINE_MIN_BINS bins, which
+    the public decoders hand to the round engine."""
     for seed in range(40):
-        sig, ens, params, meas = _random_instance(seed * 1000)
+        yield _random_instance(seed * 1000)
+    yield _random_instance(41_000, n=10**6, K=400)
+
+
+def test_no_false_coloring_and_correct_values():
+    for sig, ens, params, meas in _instances():
         truth = sig.value_map()
         for decode in (decode_unicolor, decode_multicolor):
             res = decode(meas, ens, params, K_hint=sig.k)
@@ -377,12 +384,14 @@ def test_multicolor_dominates_unicolor():
 
 
 def test_work_bounds():
-    sig, ens, params, meas = _random_instance(123, K=50)
-    res = decode_unicolor(meas, ens, params, K_hint=sig.k)
-    assert res.stats.sweeps <= sig.k + 2
-    # processor invocations are bounded by one call per bin per sweep
-    assert res.stats.processor_calls <= res.stats.sweeps * ens.M
-    assert res.stats.resident_elements > 0
+    for K in (50, 400):  # the scalar engine, then the round engine
+        sig, ens, params, meas = _random_instance(123, K=K)
+        assert (ens.M >= dec.ROUND_ENGINE_MIN_BINS) == (K == 400)
+        res = decode_unicolor(meas, ens, params, K_hint=sig.k)
+        assert res.stats.sweeps <= sig.k + 2
+        # processor invocations are bounded by one call per bin per sweep
+        assert res.stats.processor_calls <= res.stats.sweeps * ens.M
+        assert res.stats.resident_elements > 0
 
 
 def test_resident_elements_counts_the_engine_caches():
@@ -496,7 +505,7 @@ def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
             get_decoder(alg)(meas, counting, meas.params, K_hint=K)
             engine = engines.pop()
             assert max(counting.calls.values()) == 1, (label, alg)  # one query per ball
-            assert engine.bins == {ell: ens.bins_of(ell) for ell in counting.calls}, (label, alg)
+            assert engine.bins == {ell: tuple(ens.bins_of(ell)) for ell in counting.calls}, (label, alg)
             colored = {ell for root in engine.forest.roots() for ell in engine.forest.members(root)}
             assert colored <= engine.bins.keys(), (label, alg)
     assert checked["calls"] > 1000

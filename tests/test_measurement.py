@@ -10,6 +10,7 @@ from phasecode.measurement import (
     FOURIER,
     GENERAL,
     ModulationParams,
+    _coeffs_many,
     encode,
     modulation_coeffs,
     modulation_matrix,
@@ -73,6 +74,19 @@ def test_check_phase_reduced_exactly_at_huge_n():
     ell = 9_999_999_937
     expected = 2 * math.pi * ((params.L * ell) % n) / n
     assert params.check_phase(ell) == expected
+
+
+@pytest.mark.parametrize("n", [10**6, 10**10, 1_251_977_471_850])
+def test_check_row_weights_are_exact_for_numpy_indices(n):
+    # L * ell passes 2**63 here: a numpy int64 product would wrap silently
+    for L in (1, n - 1, (3_458_018_138 % (n - 1)) + 1):
+        params = ModulationParams(n=n, L=L)
+        ells = [1, 2, n // 3, n - 1, n]
+        ref = np.array([modulation_coeffs(params, ell) for ell in ells]).T
+        for batch in (ells, np.array(ells, dtype=np.int64)):
+            assert _coeffs_many(params, batch).tobytes() == ref.tobytes()
+        for ell in ells:
+            assert params.check_phase(np.int64(ell)) == params.check_phase(ell)
 
 
 def test_degenerate_check_shift_rejected():

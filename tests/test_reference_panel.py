@@ -22,7 +22,7 @@ from phasecode.core import generate_signal, mix64
 from phasecode.decoder import decode_multicolor, decode_unicolor
 from phasecode.ensemble import build_balls_and_bins, build_crt
 from phasecode.fourier import ff_sparse_acquire_implicit, ff_sparse_decode
-from phasecode.measurement import ModulationParams, encode
+from phasecode.measurement import FOURIER, ModulationParams, encode
 
 GOLDEN = Path(__file__).with_name("reference_panel.json")
 VALUE_RTOL = 1e-12
@@ -36,8 +36,8 @@ def _seeds(tag: int, trial: int) -> tuple[int, int, int]:
     return tuple(mix64(0x9A7E1, tag, trial, r) for r in range(3))
 
 
-def _cases():
-    """Yield (case id, thunk returning a DecodeResult)."""
+def panel_inputs():
+    """Yield (case id, algorithm, signal, measurements, ensemble, K) per case."""
     for n, K, c in ((1_000_000, 30, 3.32), (10_000_000_000, 30, 2.9), (1_000_000, 60, 0.5)):
         for trial in range(3):
             s_sig, s_ens, s_mod = _seeds(K, trial)
@@ -45,26 +45,33 @@ def _cases():
             ens = build_balls_and_bins(n, int(c * K + 0.999999), 7, s_ens)
             params = ModulationParams.draw(n, s_mod)
             meas = encode(signal, ens, params)
-            for alg, decode in DECODERS.items():
-                yield (f"balls n={n} K={K} c={c} trial={trial} {alg}",
-                       lambda d=decode, m=meas, e=ens, p=params, k=K: d(m, e, p, K_hint=k))
+            for alg in DECODERS:
+                yield f"balls n={n} K={K} c={c} trial={trial} {alg}", alg, signal, meas, ens, K
     crt = build_crt(CRITERION_4_COPRIMES)
     for K, trial in ((107, 0), (170, 0), (170, 1)):
         s_sig, _, s_mod = _seeds(K, 100 + trial)
         signal = generate_signal(crt.n, K, s_sig)
         params = ModulationParams.draw(crt.n, s_mod)
         meas = encode(signal, crt, params)
-        for alg, decode in DECODERS.items():
-            yield (f"crt K={K} trial={trial} {alg}",
-                   lambda d=decode, m=meas, p=params, k=K: d(m, crt, p, K_hint=k))
+        for alg in DECODERS:
+            yield f"crt K={K} trial={trial} {alg}", alg, signal, meas, crt, K
     ff = build_crt(FOURIER_COPRIMES)
     for K in (16, 24):
         for trial in range(2):
             s_sig, _, s_mod = _seeds(K, 200 + trial)
-            meas = ff_sparse_acquire_implicit(generate_signal(ff.n, K, s_sig), ff, s_mod)
+            signal = generate_signal(ff.n, K, s_sig)
+            meas = ff_sparse_acquire_implicit(signal, ff, s_mod)
             for alg in DECODERS:
-                yield (f"fourier K={K} trial={trial} {alg}",
-                       lambda a=alg, m=meas, k=K: ff_sparse_decode(m, ff, K_hint=k, algorithm=a))
+                yield f"fourier K={K} trial={trial} {alg}", alg, signal, meas, ff, K
+
+
+def _cases():
+    """Yield (case id, thunk returning a DecodeResult)."""
+    for case_id, alg, _, meas, ens, K in panel_inputs():
+        if meas.params.mode == FOURIER:
+            yield case_id, lambda a=alg, m=meas, e=ens, k=K: ff_sparse_decode(m, e, K_hint=k, algorithm=a)
+        else:
+            yield case_id, lambda a=alg, m=meas, e=ens, k=K: DECODERS[a](m, e, m.params, K_hint=k)
 
 
 def _record(res) -> dict:
