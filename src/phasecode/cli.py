@@ -17,6 +17,7 @@ so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -283,7 +284,8 @@ def run_bench(
     algorithm: str = "unicolor",
 ) -> list[BenchRow]:
     """Decode-time scaling over K at fixed n; implicit ensembles only, so n
-    can be astronomically large. Only the decode is timed."""
+    can be astronomically large. Only the decode is timed, after a garbage
+    collection that keeps the set-up's garbage out of it."""
     rows = []
     decode = get_decoder(algorithm)
     for K in K_list:
@@ -297,6 +299,8 @@ def run_bench(
             ens = build_balls_and_bins(n, M, d, ens_seed)
             params = ModulationParams.draw(n, mod_seed)
             meas = encode(signal, ens, params)
+            # a full collection owed to earlier work would land in the timing
+            gc.collect()
             t0 = time.perf_counter()
             res = decode(meas, ens, params, K_hint=K)
             times.append((time.perf_counter() - t0) * 1e3)
@@ -679,21 +683,31 @@ def cmd_crt_compare(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# The flags several subcommands share; each subcommand takes only those its
+# handler reads, so argparse rejects the rest.
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=1),
+    "trials": dict(type=int, default=100),
+    "out": dict(type=str, default=None, help="output path (stdout if omitted)"),
+    "threads": dict(type=int, default=1, help="worker processes"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phasecode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--trials", type=int, default=100)
-    common.add_argument("--out", type=str, default=None, help="CSV output path (stdout if omitted)")
-    common.add_argument("--threads", type=int, default=1)
+    def command(name: str, shared: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        for flag in shared.split():
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("design", parents=[common], help="density-evolution design table")
+    p = command("design", "out", help="density-evolution design table")
     p.add_argument("--d", type=str, default="4..10", help="left degrees, e.g. 4..10 or 5,7")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo recovery sweep")
+    p = command("simulate", "seed trials out threads", help="Monte Carlo recovery sweep")
     p.add_argument("--config", type=str, default=None, help="flat key=value config file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
@@ -707,9 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--success-threshold", dest="success_threshold", type=float, default=None)
     p.add_argument("--value-model", dest="value_model", choices=["gaussian", "unit"], default=None)
     p.add_argument("--dump-dir", type=str, default=None, help="write trial 0 signal/measurement files here")
-    p.set_defaults(func=cmd_simulate)
+    # unset flags leave the config file's values (or its defaults) in place
+    p.set_defaults(func=cmd_simulate, seed=None, trials=None, threads=None)
 
-    p = sub.add_parser("bench", parents=[common], help="decode runtime scaling")
+    p = command("bench", "seed trials out", help="decode runtime scaling")
     p.add_argument("--n", type=int, default=10_000_000_000)
     p.add_argument("--K-list", type=str, default="1000,2000,4000,10000")
     p.add_argument("--d", type=int, default=7)
@@ -717,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=ALGORITHMS, default="unicolor")
     p.set_defaults(func=cmd_bench, trials=3)
 
-    p = sub.add_parser("decode", parents=[common], help="decode signal/measurement files")
+    p = command("decode", "out", help="decode signal/measurement files")
     p.add_argument("--signal", type=str, default=None, help="ground-truth signal file (for scoring)")
     p.add_argument("--measurements", type=str, required=True)
     p.add_argument("--mode", choices=[GENERAL, FOURIER], default=GENERAL)
@@ -731,18 +746,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=ALGORITHMS, default="unicolor")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("nonsparse", parents=[common], help="dense-scheme round-trip self-test")
+    p = command("nonsparse", "seed trials", help="dense-scheme round-trip self-test")
     p.add_argument("--mode", choices=["general", "fourier"], default="general")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--dump", type=str, default=None, help="measurement dump file prefix")
     p.set_defaults(func=cmd_nonsparse, trials=20)
 
-    p = sub.add_parser("ff-verify", parents=[common], help="Fourier operator-identity suites")
+    p = command("ff-verify", "seed", help="Fourier operator-identity suites")
     p.add_argument("--n-list", type=str, default=None, help="default: 60,360,2310")
     p.add_argument("--checks", type=int, default=100)
     p.set_defaults(func=cmd_ff_verify)
 
-    p = sub.add_parser("ff-sim", parents=[common], help="sparse-spectrum mask/lens experiment")
+    p = command("ff-sim", "seed trials", help="sparse-spectrum mask/lens experiment")
     p.add_argument("--coprimes", type=str, required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--K", type=int, required=True)
@@ -750,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paired", action="store_true", help="also run the general-mode decoder")
     p.set_defaults(func=cmd_ff_sim)
 
-    p = sub.add_parser("crt-compare", parents=[common], help="paired CRT vs balls-and-bins rates")
+    p = command("crt-compare", "seed trials out threads", help="paired CRT vs balls-and-bins rates")
     p.add_argument("--coprimes", type=str, required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--K-list", type=str, required=True)

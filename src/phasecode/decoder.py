@@ -36,29 +36,14 @@ round engine is tested against.
 The scalar engine peels in place: it sweeps the bins in order, one Python
 call per visit, so a bin sees what earlier bins of the same sweep colored.
 Accepted balls live in a union-find forest whose edges carry phase
-rotations, so a merge rotates an entire color class in O(1). It keeps two
-per-decode caches so that a discovered ball costs O(d) work rather than
-O(d * bin load) per visit of each of its bins:
+rotations, so a merge rotates an entire color class in O(1). Each ball's
+bins and weights are computed once per decode (``bins``, ``coeff_cache``),
+and a visit re-sums its bin's members in member order.
 
-- ``bins``: each ball's bins, computed once by ``ensemble.bins_of`` (at its
-  membership check or its coloring) and read by every later coloring,
-  re-coloring and dirty marking.
-- ``sums``: per bin, the four one-color sums of its first ``count``
-  members, tagged with the component root they were summed in. An entry is
-  valid while that root is still the root of the bin's members: once
-  ``find`` has pointed a member straight at a root, neither its parent link
-  nor its rotation changes until that root is absorbed, and an absorbed root
-  never becomes a root again. A valid entry is extended by the members it
-  does not cover yet, in member order, so it equals a fresh member-order
-  re-sum bit for bit; a merge needs no work, because the absorbed root's
-  entries go stale by themselves. ``restrict_to_component`` builds a new
-  forest and therefore drops every entry; a bin found exhausted drops its
-  entry too, since only a ball joining it would bring the sweep back.
-
-The sweep still finds the root of every member of a bin before choosing a
+The sweep finds the root of every member of a bin before choosing a
 processor. That scan fixes when path compression runs, and a compressed
 rotation is a floating-point sum whose association depends on that timing.
-Rotating the cached sums eagerly on merge instead (and dropping the scan)
+Caching each bin's sums and rotating them eagerly on merge (dropping the scan)
 agrees with a re-sum only to ~1e-15, which at n ~ 1e12 is enough to move
 ``round(acos(.)/omega)`` to a neighbouring index and change a decode.
 
@@ -74,7 +59,8 @@ The round engine runs the parallel rounds that density evolution models.
 Its state is numpy arrays: per ball its index, its value in the frame of its
 component's root (no lazy rotations), its root, its four weights and its
 bins; per bin its member table in discovery order. It takes the seeded
-balls with the weights and bins the scalar engine cached for them. A round
+components from the scalar engine's forest and computes their balls'
+weights and bins in one batch. A round
 
 - takes every dirty bin that is not exhausted and judges it against the
   state at the start of the round, in batches: the exhausted test, the
@@ -163,7 +149,6 @@ class ColorForest:
         self._parent: dict[int, int] = {}
         self._rot: dict[int, float] = {}
         self._val: dict[int, complex] = {}
-        self._size: dict[int, int] = {}
         self._members: dict[int, Sequence[int]] = {}
 
     # -- queries ------------------------------------------------------------
@@ -199,7 +184,7 @@ class ColorForest:
         return self._val[ell] * cmath.exp(1j * self._rot[ell])
 
     def size(self, root: int) -> int:
-        return self._size[root]
+        return len(self._members[root])
 
     def members(self, root: int) -> Sequence[int]:
         return self._members[root]
@@ -218,7 +203,6 @@ class ColorForest:
         self._parent[ell] = ell
         self._rot[ell] = 0.0
         self._val[ell] = value
-        self._size[ell] = 1
         self._members[ell] = (ell,)  # a list once the component grows, see _grown
         return ell
 
@@ -232,7 +216,6 @@ class ColorForest:
         self._parent[ell] = root
         self._rot[ell] = 0.0
         self._val[ell] = value
-        self._size[root] += 1
         self._grown(root).append(ell)
 
     def _grown(self, root: int) -> list[int]:
@@ -251,7 +234,7 @@ class ColorForest:
         """
         if root_a == root_b:
             raise ParameterError("cannot union a component with itself")
-        if self._size[root_a] >= self._size[root_b]:
+        if len(self._members[root_a]) >= len(self._members[root_b]):
             big, small, rot_small = root_a, root_b, psi
         else:
             big, small, rot_small = root_b, root_a, -psi
@@ -259,7 +242,6 @@ class ColorForest:
         self._rot[small] = rot_small
         moved = self._members.pop(small)
         self._grown(big).extend(moved)
-        self._size[big] += self._size.pop(small)
         return big, moved
 
 
@@ -373,14 +355,12 @@ def _member_sums(
     forest: ColorForest,
     params: ModulationParams,
     coeff_cache: dict | None,
-    start: int = 0,
-    sums: tuple[complex, complex, complex, complex] = (0j, 0j, 0j, 0j),
 ) -> tuple[complex, complex, complex, complex]:
-    """The four bin sums g_k(ell) * value(ell) over ``mem[start:]``, added in
-    member order onto ``sums`` (the sums of ``mem[:start]``)."""
-    a, b, c, dd = sums
+    """The four bin sums g_k(ell) * value(ell) over ``mem``, added in member
+    order, each value in the frame of its component's root."""
+    a = b = c = dd = 0j
     parent, rot, val = forest._parent, forest._rot, forest._val
-    for ell in mem[start:]:
+    for ell in mem:
         p = parent[ell]
         if p == ell:
             v = val[ell]
@@ -497,7 +477,7 @@ def _resolvable_full(
     members alone already reproduce all four measurements.
 
     ``sums`` are the members' one-color sums when the caller holds them (the
-    engine's cache, for members it has checked share one color); otherwise
+    engine's sweep, which has checked that they share one color); otherwise
     the members are checked and summed here."""
     mem = bin.discovered
     if not mem:
@@ -667,8 +647,6 @@ class _Engine:
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
         self.bins: dict[int, tuple[int, ...]] = {}
-        # per bin: None or (root, count, a, b, c, dd), see the module docstring
-        self.sums: list[tuple | None] = [None] * self.M
 
     # -- helpers ------------------------------------------------------------
 
@@ -681,22 +659,6 @@ class _Engine:
     def membership(self, bin_id: int) -> Callable[[int], bool]:
         bins_of = self.bins_of
         return lambda ell: bin_id in bins_of(ell)
-
-    def bin_sums(self, b0: int, root: int) -> tuple[complex, complex, complex, complex]:
-        """One-color sums of bin ``b0``, whose members all lie in ``root``'s
-        component: the cached entry extended by the members it does not
-        cover, or a full re-sum when the entry was summed under another root."""
-        mem = self.discovered[b0]
-        entry = self.sums[b0]
-        if entry is not None and entry[0] == root:
-            count, sums = entry[1], entry[2:]
-            if count == len(mem):
-                return sums
-        else:
-            count, sums = 0, (0j, 0j, 0j, 0j)
-        sums = _member_sums(mem, self.forest, self.params, self.coeff_cache, count, sums)
-        self.sums[b0] = (root, len(mem), *sums)
-        return sums
 
     def color_ball(self, ell: int, value: complex, root: int | None) -> None:
         """Color ``ell`` (into a new component if ``root`` is None) in the forest and its bins."""
@@ -762,7 +724,6 @@ class _Engine:
         survivors = self.forest.component_items(root)
         self.forest = ColorForest()
         self.discovered = [()] * self.M
-        self.sums = [None] * self.M
         (first_ell, first_val), rest = survivors[0], survivors[1:]
         self.color_ball(first_ell, first_val, None)
         for ell, val in rest:
@@ -810,11 +771,10 @@ class _Engine:
                         self.tol,
                         membership=self.membership(b0 + 1),
                         coeff_cache=self.coeff_cache,
-                        sums=self.bin_sums(b0, root),
+                        sums=_member_sums(mem, forest, self.params, self.coeff_cache),
                     )
                     if status == "exhausted":
                         self.exhausted[b0] = 1
-                        self.sums[b0] = None
                     elif status == "resolved":
                         ell, x = payload
                         self.color_ball(ell, x, root)
@@ -843,15 +803,14 @@ class _Engine:
 
     def resident_elements(self) -> int:
         """Per-bin state, discovered members and the forest, plus the caches:
-        4 weights per ``coeff_cache`` entry, a ball's key and bins per
-        ``bins`` entry, and 6 values per live ``sums`` entry."""
+        4 weights per ``coeff_cache`` entry and a ball's key and bins per
+        ``bins`` entry."""
         return (
             5 * self.M
             + sum(len(d) for d in self.discovered)
             + 4 * self.forest.ball_count
             + 4 * len(self.coeff_cache)
             + sum(len(b) + 1 for b in self.bins.values())
-            + 6 * sum(entry is not None for entry in self.sums)
         )
 
     def result(self, K_hint: int, sweeps: int) -> DecodeResult:
@@ -874,8 +833,8 @@ class _RoundEngine:
 
     def __init__(self, seeded: _Engine, roots: list[int]):
         """Take over the components of ``roots`` that the scalar engine
-        ``seeded`` colored while seeding, with the weights and bins it cached
-        for their balls."""
+        ``seeded`` colored while seeding; their balls' weights and bins come
+        from the batch queries ``_coeffs_many`` and ``bins_many``."""
         self.ensemble = seeded.ensemble
         self.params = seeded.params
         self.tol = tol = seeded.tol
@@ -909,18 +868,14 @@ class _RoundEngine:
         self.exhausted = np.zeros(self.M, dtype=bool)
         forest = seeded.forest
         comps = [forest.component_items(root) for root in roots]
-        ells = [ell for comp in comps for ell, _ in comp]
-        bins = [seeded.bins[ell] for ell in ells]
-        padded = np.zeros((len(ells), max(map(len, bins), default=0)), dtype=np.int64)
-        for row, got in zip(padded, bins):
-            row[: len(got)] = got
+        ells = np.array([ell for comp in comps for ell, _ in comp], dtype=np.int64)
         sizes = [len(comp) for comp in comps]
         self.add_balls(
-            np.array(ells, dtype=np.int64),
+            ells,
             np.array([value for comp in comps for _, value in comp], dtype=np.complex128),
             np.repeat(np.cumsum([1] + sizes[:-1]), sizes),  # each component's first slot is its root
-            np.array([seeded.coeff_cache[ell] for ell in ells], dtype=np.complex128).reshape(-1, 4),
-            padded,
+            _coeffs_many(self.params, ells).T,
+            self.ensemble.bins_many(ells),
         )
 
     @property
@@ -1204,11 +1159,8 @@ class _RoundEngine:
             + int(np.count_nonzero(self.bins[1 : self.count]))
         )
 
-    def largest_root(self) -> int | None:
-        return _largest(self.comp, lambda mem: self.ell[mem])
-
     def result(self, K_hint: int, sweeps: int) -> DecodeResult:
-        root = self.largest_root()
+        root = _largest(self.comp, lambda mem: self.ell[mem])
         recovered = []
         if root is not None:
             mem = self.comp[root]

@@ -258,7 +258,7 @@ def ff_sparse_acquire(x: np.ndarray, ensemble: CrtEnsemble, seed: int) -> Measur
         field = _prepare_field(x, plan, variant)
         for stage in plan.stages:
             y[stage.offset : stage.offset + stage.f, col] = _detect(field, stage, variant)
-    return MeasurementSet(y=y, params=plan.params, ensemble_ref=ensemble.describe())
+    return MeasurementSet(y=y, params=plan.params)
 
 
 def ff_sparse_acquire_implicit(

@@ -85,7 +85,6 @@ class MeasurementSet:
 
     y: np.ndarray  # shape (M, 4), float64
     params: ModulationParams
-    ensemble_ref: str = ""
 
     @property
     def M(self) -> int:
@@ -174,7 +173,7 @@ def encode(signal: SparseSignal, ensemble, params: ModulationParams) -> Measurem
         for total, terms in zip(sums, prod):
             np.add.at(total, rows, terms[ball])
     y = np.ascontiguousarray(np.hypot(sums[:4], sums[4:]).T)
-    return MeasurementSet(y=y, params=params, ensemble_ref=ensemble.describe())
+    return MeasurementSet(y=y, params=params)
 
 
 def row_tensor_product(G: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -83,6 +83,17 @@ def test_unknown_names_are_config_errors(tmp_path):
         assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_simulate_config_file_keeps_its_seed_and_trials(tmp_path):
+    path, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    path.write_text("n=20000\nK=20\nd=7\nc=3.5\ntrials=2\nseed=9\n")
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# seed=9" in lines and "# trials=2" in lines
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 2  # header, 2 trials
+    assert main(["simulate", "--config", str(path), "--trials", "1", "--out", str(out)]) == 0
+    assert "# trials=1" in out.read_text().splitlines()
+
+
 def test_simulation_zero_trials_is_empty_success():
     cfg = ExperimentConfig(n=1000, K=10, d=5, c=3.5, trials=0, seed=1)
     summary = run_simulation(cfg)
@@ -229,6 +240,20 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     proc = _run_python("-c", "import sys, phasecode.cli; print('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_subcommands_reject_flags_they_do_not_read():
+    for args in (
+        ("design", "--d", "5", "--seed", "3"),
+        ("bench", "--K-list", "10", "--threads", "2"),
+        ("decode", "--measurements", "y.txt", "--trials", "5"),
+        ("nonsparse", "--n", "8", "--out", "r.csv"),
+        ("ff-verify", "--n-list", "60", "--trials", "3"),
+        ("ff-sim", "--coprimes", "7,11", "--K", "2", "--out", "r.csv"),
+    ):
+        proc = _run_phasecode(*args)
+        assert proc.returncode == 2, args
+        assert "unrecognized arguments: " + " ".join(args[-2:]) in proc.stderr, args
 
 
 def test_cli_smoke_via_subprocess():

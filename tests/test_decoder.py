@@ -400,11 +400,7 @@ def test_resident_elements_counts_the_engine_caches():
     engine.phase_singletons()
     engine.sweeps(sig.k, allow_merge=True, max_sweeps=sig.k + 2)
     state = 5 * ens.M + sum(map(len, engine.discovered)) + 4 * engine.forest.ball_count
-    caches = (
-        4 * len(engine.coeff_cache)
-        + (ens.d + 1) * len(engine.bins)
-        + 6 * sum(entry is not None for entry in engine.sums)
-    )
+    caches = 4 * len(engine.coeff_cache) + (ens.d + 1) * len(engine.bins)
     assert len(engine.bins) >= engine.forest.ball_count > 0 and len(engine.coeff_cache) > 0
     assert engine.resident_elements() == state + caches
 
@@ -430,7 +426,8 @@ def test_decoder_lookup_names_both_decoders_and_rejects_others():
 # ---------------------------------------------------------------------------
 
 def _reference_sums(mem, forest, params):
-    """The member-order re-sum that the engine's cached bin sums replace."""
+    """A plain member-order re-sum through ``find`` and ``modulation_coeffs``,
+    which the sums the sweep hands to ``_resolvable_full`` must equal."""
     a = b = c = dd = 0j
     for ell in mem:
         v = forest.value(ell)
@@ -479,7 +476,7 @@ def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
     original_mergeable = dec.process_mergeable
 
     def checked_resolvable(bin, forest, params, *args, sums=None, **kwargs):
-        assert sums is not None, "the engine must hand its cached sums over"
+        assert sums is not None, "the sweep must hand its members' one-color sums over"
         assert sums == _reference_sums(bin.discovered, forest, params)
         checked["calls"] += 1
         return original_resolvable(bin, forest, params, *args, sums=sums, **kwargs)
@@ -509,4 +506,4 @@ def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
             colored = {ell for root in engine.forest.roots() for ell in engine.forest.members(root)}
             assert colored <= engine.bins.keys(), (label, alg)
     assert checked["calls"] > 1000
-    assert checked["merges"] > 100  # multicolor merges, which make cached entries stale
+    assert checked["merges"] > 100  # multicolor merges, which re-root members

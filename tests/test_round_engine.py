@@ -20,12 +20,30 @@ from helpers import random_value, signal_from_pairs
 from phasecode.core import RecoveryStatus, align_global_phase, generate_signal
 from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins, build_crt
 from phasecode.fourier import ff_sparse_acquire_implicit
-from phasecode.measurement import ModulationParams, encode
+from phasecode.measurement import ModulationParams, encode, modulation_coeffs
 from test_reference_panel import CRITERION_4_COPRIMES, panel_inputs
 
 FULL = RecoveryStatus.FULL_RECOVERY
 VALUE_TOL = 1e-6
-SCALAR, ROUNDS = None, dec._RoundEngine  # the growth engines ``_run`` can hand over to
+
+
+class _CheckedHandOver(dec._RoundEngine):
+    """The round engine, checking each hand-over: the seeded balls' rows of
+    ``g`` and ``bins`` equal ``modulation_coeffs`` and ``bins_of`` (zero
+    padded to the table's width) bit for bit."""
+
+    def __init__(self, seeded, roots):
+        super().__init__(seeded, roots)
+        ells = self.ell[1 : self.count].tolist()
+        width = self.bins.shape[1]
+        g = np.array([modulation_coeffs(self.params, ell) for ell in ells], dtype=np.complex128)
+        rows = [self.ensemble.bins_of(ell) for ell in ells]
+        bins = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
+        assert self.g[1 : self.count].tobytes() == g.tobytes()
+        assert self.bins[1 : self.count].tobytes() == bins.reshape(-1, width).tobytes()
+
+
+SCALAR, ROUNDS = None, _CheckedHandOver  # the growth engines ``_run`` can hand over to
 
 
 def _decode(grow, alg, meas, ens, K, max_sweeps=None):
