@@ -380,10 +380,19 @@ def run_crt_comparison(
 FF_VERIFY_STAGES = {60: (3, 4, 5), 360: (5, 8, 9), 2310: (2, 3, 5, 7, 11)}
 
 
+def _relative_residual(got: np.ndarray, ref: np.ndarray) -> float:
+    """Largest deviation of ``got`` from the non-negative ``ref``, relative to
+    ``ref``'s largest entry."""
+    return float(np.max(np.abs(got - ref)) / max(float(np.max(ref)), 1e-30))
+
+
 def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> list[tuple[str, float, bool]]:
     """Operator-identity property suites; returns (name, max residual, pass).
 
     Residuals are relative to the reference operator's largest output entry.
+    ``circulant`` and ``replica`` check the dense ``mask_lens_measure``;
+    ``cosine`` and ``shifted`` check ``acquire_stage``, the detection that
+    acquisition runs, against the aliased modulated spectrum.
     """
     results = []
     tol = 1e-9
@@ -394,7 +403,15 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
         ens = build_crt(factors)
         rng = np.random.default_rng(mix64(seed, n))
         plan = build_plan(ens, mix64(seed, n, 1))
-        worst = {"circulant": 0.0, "replica": 0.0, "fsquared": 0.0, "cosine": 0.0}
+        worst = {"circulant": 0.0, "replica": 0.0, "fsquared": 0.0, "cosine": 0.0, "shifted": 0.0}
+        # the pure modulation each one-lens experiment applies to the spectrum
+        j = np.arange(n)
+        mods = {
+            "plain": np.ones(n),
+            "shift_fwd": np.exp(2j * np.pi * j / n),
+            "shift_bwd": np.exp(-2j * np.pi * j / n),
+            "check": np.exp(2j * np.pi * (j * plan.L % n) / n),
+        }
         for _ in range(checks_per_case):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
             X = np.fft.fft(x)
@@ -420,10 +437,11 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
                 )
                 cos_ref = np.abs(2.0 * alias_fold(plan.cos_mask * X, f))
                 cos_got = acquire_stage(x, plan, stage, "cosine")
-                cscale = max(float(np.max(cos_ref)), 1e-30)
-                worst["cosine"] = max(
-                    worst["cosine"], float(np.max(np.abs(cos_got - cos_ref)) / cscale)
-                )
+                worst["cosine"] = max(worst["cosine"], _relative_residual(cos_got, cos_ref))
+                for variant, mod in mods.items():
+                    got = acquire_stage(x, plan, stage, variant)
+                    ref = np.abs(alias_fold(mod * X, f))
+                    worst["shifted"] = max(worst["shifted"], _relative_residual(got, ref))
         for name, resid in worst.items():
             results.append((f"n={n} {name}", resid, resid <= tol))
     return results

@@ -7,6 +7,7 @@ from phasecode.core import ParameterError, RecoveryStatus, align_global_phase, g
 from phasecode.ensemble import build_balls_and_bins, build_crt
 from phasecode.fourier import (
     ReplicaMismatchError,
+    _index_reversal,
     acquire_stage,
     alias_fold,
     build_plan,
@@ -147,15 +148,16 @@ def test_physical_experiment_costs(monkeypatch):
 
 
 def _count_ffts(monkeypatch):
-    calls = {"ffts": 0}
+    """Record the input length of every ``np.fft.fft`` call."""
+    lengths = []
     real_fft = np.fft.fft
 
-    def counting_fft(*args, **kwargs):
-        calls["ffts"] += 1
-        return real_fft(*args, **kwargs)
+    def counting_fft(a, *args, **kwargs):
+        lengths.append(len(a))
+        return real_fft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
-    return calls
+    return lengths
 
 
 def test_shared_field_acquisition_equals_per_stage_experiments_bytewise():
@@ -175,24 +177,65 @@ def test_shared_field_acquisition_equals_per_stage_experiments_bytewise():
             assert ff_sparse_acquire(x, ens, seed).y.tobytes() == y.tobytes()
 
 
+def _dense_fields(x, plan):
+    """Each experiment's light field as it reaches the stage mask."""
+    return {
+        "plain": x,
+        "shift_fwd": np.roll(x, -1),
+        "shift_bwd": np.roll(x, 1),
+        "check": np.roll(x, -plan.L),
+        "cosine": np.fft.fft(plan.cos_mask * np.fft.fft(x)),
+    }
+
+
+def _dense_chain(field, stage, variant):
+    """Stage mask -> length-n lens -> detector: calibrated, checked
+    n/f-periodic, and read out at its f unique values."""
+    f = stage.f
+    z = mask_lens_measure(field, stage.mask)
+    full = 2.0 * _index_reversal(z) / f if variant == "cosine" else z * stage.scale
+    blocks = full.reshape(len(field) // f, f)
+    assert np.max(np.abs(blocks - blocks[0])) <= 1e-12 * np.max(full)
+    return blocks[0]
+
+
+def test_pruned_detection_matches_the_dense_chain():
+    # each stage is detected from the f samples its mask passes, with a
+    # length-f lens; the dense length-n chain gives the same numbers
+    rng = np.random.default_rng(12)
+    for coprimes, fields in (([7, 11, 13, 17, 19], 2), ([4, 5, 7, 9], 3), ([13, 17, 19, 23, 25], 1)):
+        ens = build_crt(coprimes)
+        plan = build_plan(ens, seed=3)
+        for _ in range(fields):
+            x = rng.normal(size=ens.n) + 1j * rng.normal(size=ens.n)
+            for variant, field in _dense_fields(x, plan).items():
+                for stage in plan.stages:
+                    ref = _dense_chain(field, stage, variant)
+                    got = acquire_stage(x, plan, stage, variant)
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), (coprimes, variant, stage.f)
+
+
 def test_repeated_acquisition_spends_4s_plus_2_ffts(monkeypatch):
+    # only the two cosine lenses run at length n; every stage is detected
+    # with a length-f lens, once per experiment
     ens = build_crt([5, 7, 9, 11])
-    S = len(ens.stage_heights)
+    heights = ens.stage_heights
     _, x = _random_spectrum_signal(ens, 4, seed=61)
     ff_sparse_acquire(x, ens, seed=1)  # fills the optics cache
-    calls = _count_ffts(monkeypatch)
+    lengths = _count_ffts(monkeypatch)
     for seed in (1, 2):
-        calls["ffts"] = 0
+        lengths.clear()
         ff_sparse_acquire(x, ens, seed)
-        assert calls["ffts"] == 4 * S + 2
+        assert len(lengths) == 4 * len(heights) + 2
+        assert sorted(lengths) == sorted([ens.n] * 2 + list(heights) * 4)
 
 
 def test_plans_of_a_cached_code_share_read_only_optics(monkeypatch):
     ens = build_crt([3, 4, 5])
     first = build_plan(ens, seed=1)
-    calls = _count_ffts(monkeypatch)
+    lengths = _count_ffts(monkeypatch)
     second = build_plan(ens, seed=2)
-    assert calls["ffts"] == 0
+    assert len(lengths) == 0
     assert second.params != first.params
     assert second.cos_mask is first.cos_mask
     for a, b in zip(first.stages, second.stages):
@@ -202,10 +245,10 @@ def test_plans_of_a_cached_code_share_read_only_optics(monkeypatch):
             arr[0] = 2.0
     # only the most recent code is kept: a new code evicts the first
     other = build_plan(build_crt([5, 7]), seed=1)
-    assert calls["ffts"] == 2
+    assert len(lengths) == 2
     assert len(other.cos_mask) == 35
     build_plan(ens, seed=3)
-    assert calls["ffts"] == 2 + 3
+    assert len(lengths) == 2 + 3
 
 
 def test_replica_violation_detected():
@@ -224,6 +267,31 @@ def test_replica_violation_detected():
     x = rng.normal(size=60) + 1j * rng.normal(size=60)
     with pytest.raises(ReplicaMismatchError):
         acquire_stage(x, plan, bad, "plain")
+
+
+def test_acquisition_rejects_a_signal_that_is_not_1d():
+    ens = build_crt([3, 4, 5])
+    plan = build_plan(ens, seed=1)
+    for bad in (np.zeros((60, 1)), np.zeros((1, 60)), np.zeros(59), np.zeros(())):
+        with pytest.raises(ParameterError):
+            ff_sparse_acquire(bad, ens, seed=1)
+        with pytest.raises(ParameterError):
+            acquire_stage(bad, plan, plan.stages[0], "plain")
+        with pytest.raises(ParameterError):
+            mask_lens_measure(bad, plan.stages[0].mask)
+
+
+def test_mask_length_must_match_the_field():
+    ens = build_crt([3, 4, 5])
+    plan = build_plan(ens, seed=1)
+    stage = plan.stages[0]
+    short = type(stage)(f=stage.f, offset=stage.offset, mask=stage.mask[:30], scale=stage.scale)
+    x = np.ones(60, dtype=complex)
+    for variant in ("plain", "cosine"):
+        with pytest.raises(ParameterError):
+            acquire_stage(x, plan, short, variant)
+    with pytest.raises(ParameterError):
+        mask_lens_measure(x, stage.mask[:30])
 
 
 def test_acquire_matches_implicit_encoder():
