@@ -37,8 +37,15 @@ The scalar engine peels in place: it sweeps the bins in order, one Python
 call per visit, so a bin sees what earlier bins of the same sweep colored.
 Accepted balls live in a union-find forest whose edges carry phase
 rotations, so a merge rotates an entire color class in O(1). Each ball's
-bins and weights are computed once per decode (``bins``, ``coeff_cache``),
-and a visit re-sums its bin's members in member order.
+bins are computed once per decode (``bins``), and a visit re-sums its bin's
+members in member order, with each member's four weights computed once per
+decode (``coeff_cache``). The judges compute only the weights they test: the
+singleton judge the cosine weight g3 of each location candidate, the
+resolvable judge g1, g2 and g3 of each candidate and the check weight only
+for a candidate that rows 1-3 accept. A candidate enters ``coeff_cache``
+only once it has passed every test, so the cache holds colored balls (and
+the rare hit a bin rejects as ambiguous), not every index ever tried. The
+engine hands every visit the same ``BinState``, re-pointed at the bin.
 
 The sweep finds the root of every member of a bin before choosing a
 processor. That scan fixes when path compression runs, and a compressed
@@ -267,18 +274,18 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
     the caller must disambiguate via the check measurements and the bin
     membership constraint.
     """
-    v = min(max(cos_abs, 0.0), 1.0)
-    a = math.acos(v)
-    omega = params.omega
-    n = params.n
-    if params.mode == GENERAL:
+    return _candidates(cos_abs, params.omega, params.n, params.mode == FOURIER)
+
+
+def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int]:
+    """``location_candidates`` for a judge that has read omega already."""
+    a = math.acos(min(max(cos_abs, 0.0), 1.0))
+    if not fourier:
         ell = round(a / omega)
         return [ell] if 1 <= ell <= n else []
     out: list[int] = []
     for theta in (a, math.pi - a, math.pi + a, _TWO_PI - a):
-        ell = round(theta / omega)
-        if ell == 0 and params.mode == FOURIER:
-            ell = n  # theta ~ 0 and theta ~ 2pi name the same ball
+        ell = round(theta / omega) or n  # theta ~ 0 and theta ~ 2pi name the same ball
         if 1 <= ell <= n and ell not in out:
             out.append(ell)
     return out
@@ -337,15 +344,6 @@ def _coeffs(params: ModulationParams, ell: int, cache: dict | None):
     return got
 
 
-def _passes(bin_y, synth, tol: float, scale: float) -> bool:
-    return (
-        abs(synth[0] - bin_y[0]) <= tol * scale
-        and abs(synth[1] - bin_y[1]) <= tol * scale
-        and abs(synth[2] - bin_y[2]) <= tol * scale
-        and abs(synth[3] - bin_y[3]) <= tol * scale
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bin processors
 # ---------------------------------------------------------------------------
@@ -368,7 +366,8 @@ def _member_sums(
             v = val[ell] * cmath.exp(1j * rot[ell])
         else:
             v = forest.value(ell)
-        g1, g2, g3, g4 = _coeffs(params, ell, coeff_cache)
+        g = coeff_cache.get(ell) if coeff_cache is not None else None
+        g1, g2, g3, g4 = g if g is not None else _coeffs(params, ell, coeff_cache)
         a += g1 * v
         b += g2 * v
         c += g3 * v
@@ -387,17 +386,20 @@ def process_singleton(
 
     Detection: y1 = y2 = y4 (all unit-modulus rows see the same lone
     magnitude), location from arccos(y3 / 2 y1), acceptance only if the full
-    4-measurement resynthesis for a lone ball matches within tolerance.
+    4-measurement resynthesis for a lone ball matches within tolerance. For a
+    lone ball that resynthesis reduces to |g3| y1 = y3, so only g3 is
+    computed; ``coeff_cache`` is neither read nor filled.
     """
     y1, y2, y3, y4 = bin.y
     if y1 <= 0.0:
         return None
     if abs(y1 - y2) > tol * y1 or abs(y1 - y4) > tol * y1:
         return None
+    omega = params.omega
     hits: list[int] = []
-    for ell in location_candidates(y3 / (2.0 * y1), params):
-        g3 = _coeffs(params, ell, coeff_cache)[2]
-        if abs(abs(g3) * y1 - y3) > tol * y1:
+    for ell in _candidates(y3 / (2.0 * y1), omega, params.n, params.mode == FOURIER):
+        # g3 alone, computed as modulation_coeffs does
+        if abs(abs(2.0 * math.cos(omega * ell)) * y1 - y3) > tol * y1:
             continue
         if membership is not None and not membership(ell):
             continue
@@ -436,9 +438,11 @@ def process_mergeable(
     rs = _member_sums(mem_r, forest, params, coeff_cache)
     bs = _member_sums(mem_b, forest, params, coeff_cache)
     r1, b1 = rs[0], bs[0]
-    if abs(r1) <= tol * scale or abs(b1) <= tol * scale:
+    mag_r, mag_b = abs(r1), abs(b1)
+    margin = tol * scale
+    if mag_r <= margin or mag_b <= margin:
         return None  # degenerate geometry: a class sums to zero in this bin
-    carg = (y[0] * y[0] - abs(r1) ** 2 - abs(b1) ** 2) / (2.0 * abs(r1) * abs(b1))
+    carg = (y[0] * y[0] - mag_r**2 - mag_b**2) / (2.0 * mag_r * mag_b)
     if abs(carg) > 1.0 + tol:
         return None  # guess wrong: the bin must hold hidden balls
     gamma = math.acos(min(max(carg, -1.0), 1.0))
@@ -447,13 +451,12 @@ def process_mergeable(
     for sign in (1.0, -1.0):
         psi = sign * gamma + base
         e = cmath.exp(1j * psi)
-        synth = (
-            abs(rs[0] + e * bs[0]),
-            abs(rs[1] + e * bs[1]),
-            abs(rs[2] + e * bs[2]),
-            abs(rs[3] + e * bs[3]),
-        )
-        if _passes(y, synth, tol, scale):
+        if (
+            abs(abs(rs[0] + e * bs[0]) - y[0]) <= margin
+            and abs(abs(rs[1] + e * bs[1]) - y[1]) <= margin
+            and abs(abs(rs[2] + e * bs[2]) - y[2]) <= margin
+            and abs(abs(rs[3] + e * bs[3]) - y[3]) <= margin
+        ):
             if not any(abs(cmath.exp(1j * (psi - p)) - 1.0) <= 1e-9 for p in accepted):
                 accepted.append(psi)
     if len(accepted) != 1:
@@ -511,6 +514,9 @@ def _resolvable_full(
         return "none", None
     alpha0 = math.acos(min(max(carg, -1.0), 1.0))
     k4 = y3 / abs(c)
+    margin = tol * scale
+    omega = params.omega
+    fourier = params.mode == FOURIER
     hits: list[tuple[int, complex]] = []
     for sign in (1.0, -1.0):
         z = (y1 / y2) * cmath.exp(1j * sign * alpha0)
@@ -537,29 +543,38 @@ def _resolvable_full(
             if u < -1e-9 or u > 1.0 + 1e-9:
                 continue
             cos_abs = math.sqrt(min(max(u, 0.0), 1.0))
-            for ell in location_candidates(cos_abs, params):
+            for ell in _candidates(cos_abs, omega, params.n, fourier):
                 if forest.has(ell):
                     continue
-                g1, g2, g3, g4 = _coeffs(params, ell, coeff_cache)
+                # the weights as modulation_coeffs computes them; the check
+                # row's only for a candidate that rows 1-3 accept
+                w = omega * ell
+                g1 = cmath.exp(1j * w)
+                g2 = g1.conjugate()
                 denom = g1 - z * g2
                 if abs(denom) <= 1e-14:
                     continue
                 x = (z * b - a) / denom
-                synth = (
-                    abs(a + g1 * x),
-                    abs(b + g2 * x),
-                    abs(c + g3 * x),
-                    abs(dd + g4 * x),
-                )
-                if _passes(y, synth, tol, scale):
-                    # membership is the costly filter; apply it last
-                    if membership is not None and not membership(ell):
-                        continue
-                    if not any(
-                        ell == h[0] and abs(x - h[1]) <= 1e-9 * max(1.0, abs(x))
-                        for h in hits
-                    ):
-                        hits.append((ell, x))
+                g3 = 2.0 * math.cos(w)
+                if (
+                    abs(abs(a + g1 * x) - y1) > margin
+                    or abs(abs(b + g2 * x) - y2) > margin
+                    or abs(abs(c + g3 * x) - y3) > margin
+                ):
+                    continue
+                g4 = cmath.exp(1j * params.check_phase(ell))
+                if abs(abs(dd + g4 * x) - y4) > margin:
+                    continue
+                # membership is the costly filter; apply it last
+                if membership is not None and not membership(ell):
+                    continue
+                if coeff_cache is not None:
+                    coeff_cache[ell] = (g1, g2, g3, g4)
+                if not any(
+                    ell == h[0] and abs(x - h[1]) <= 1e-9 * max(1.0, abs(x))
+                    for h in hits
+                ):
+                    hits.append((ell, x))
     if len(hits) != 1:
         return "none", None
     return "resolved", hits[0]
@@ -647,6 +662,11 @@ class _Engine:
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
         self.bins: dict[int, tuple[int, ...]] = {}
+        # one BinState and one membership test for every visit: ``bin_state``
+        # points the view at the visited bin, and the test reads its id
+        self.visit = visit = BinState(0, (0.0, 0.0, 0.0, 0.0))
+        bins_of = self.bins_of
+        self.in_visited_bin: Callable[[int], bool] = lambda ell: visit.bin_id in bins_of(ell)
 
     # -- helpers ------------------------------------------------------------
 
@@ -655,10 +675,6 @@ class _Engine:
         if got is None:  # a tuple, for the same reason as the members in __init__
             got = self.bins[ell] = tuple(self.ensemble.bins_of(ell))
         return got
-
-    def membership(self, bin_id: int) -> Callable[[int], bool]:
-        bins_of = self.bins_of
-        return lambda ell: bin_id in bins_of(ell)
 
     def color_ball(self, ell: int, value: complex, root: int | None) -> None:
         """Color ``ell`` (into a new component if ``root`` is None) in the forest and its bins."""
@@ -673,8 +689,12 @@ class _Engine:
             self.exhausted[b0] = 0
 
     def bin_state(self, b0: int) -> BinState:
-        y = tuple(self.yflat[4 * b0 : 4 * b0 + 4])
-        return BinState(bin_id=b0 + 1, y=y, discovered=self.discovered[b0])
+        """The engine's one BinState, pointed at bin ``b0`` (0-based)."""
+        visit = self.visit
+        visit.bin_id = b0 + 1
+        visit.y = tuple(self.yflat[4 * b0 : 4 * b0 + 4])
+        visit.discovered = self.discovered[b0]
+        return visit
 
     # -- phases ---------------------------------------------------------------
 
@@ -685,14 +705,13 @@ class _Engine:
         candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= tol * y1) & (
             np.abs(y1 - y[:, 3]) <= tol * y1
         )
-        for b0 in np.flatnonzero(candidate):
-            b0 = int(b0)
+        for b0 in np.flatnonzero(candidate).tolist():
             self.stats.processor_calls += 1
             hit = process_singleton(
                 self.bin_state(b0),
                 self.params,
                 tol,
-                membership=self.membership(b0 + 1),
+                membership=self.in_visited_bin,
                 coeff_cache=self.coeff_cache,
             )
             if hit is None:
@@ -744,15 +763,17 @@ class _Engine:
         """
         forest = self.forest
         parent = forest._parent
+        # color_ball and the merges update these in place
+        discovered, dirty, exhausted = self.discovered, self.dirty, self.exhausted
         done = 0
         while done < max_sweeps and not self.decoded_fully(K_hint, allow_merge):
             done += 1
             changed = False
             for b0 in range(self.M):
-                if self.exhausted[b0] or not self.dirty[b0]:
+                if exhausted[b0] or not dirty[b0]:
                     continue
-                self.dirty[b0] = 0
-                mem = self.discovered[b0]
+                dirty[b0] = 0
+                mem = discovered[b0]
                 if not mem:
                     continue
                 roots = set()
@@ -769,12 +790,12 @@ class _Engine:
                         forest,
                         self.params,
                         self.tol,
-                        membership=self.membership(b0 + 1),
+                        membership=self.in_visited_bin,
                         coeff_cache=self.coeff_cache,
                         sums=_member_sums(mem, forest, self.params, self.coeff_cache),
                     )
                     if status == "exhausted":
-                        self.exhausted[b0] = 1
+                        exhausted[b0] = 1
                     elif status == "resolved":
                         ell, x = payload
                         self.color_ball(ell, x, root)
@@ -790,10 +811,10 @@ class _Engine:
                         self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache
                     )
                     if psi is not None:
-                        self.exhausted[b0] = 1
+                        exhausted[b0] = 1
                         for ell in moved:  # their values rotated: revisit their bins
                             for b in self.bins_of(ell):
-                                self.dirty[b - 1] = 1
+                                dirty[b - 1] = 1
                         changed = True
             if not changed:
                 break

@@ -33,12 +33,17 @@ Because w = 2*pi/n, the optics (the stage masks and the cosine mask) depend
 only on the code, never on the seed: ``build_plan`` takes them from a cache
 that holds the most recent code, S read-only ``bool`` stage masks and one
 float cosine mask of length n for S stages, and only draws the seed's
-``ModulationParams``. The experiments of a variant differ only after the
-light field reaches the stage mask, so ``ff_sparse_acquire`` prepares each
-variant's field once (a circular shift, or the two-lens cosine field
-F(cos o F x)) and detects it through all S stage masks: 2 length-n FFTs (the
-cosine lenses) and 4*S length-f FFTs per acquisition, with the same bytes
-out as running every stage's experiments separately (``acquire_stage``).
+``ModulationParams``. No experiment builds a length-n field: a one-lens
+variant's field is a circular shift of x, read at the shifted lattice, and
+the cosine cascade's second lens is needed only on each stage's lattice,
+where a length-n transform sampled every n/f slots is the length-f transform
+of its input folded modulo f (the subsampling/aliasing identity behind
+FFAST). The cascade's first lens and its cos mask, cos o F x, stay at length
+n. ``ff_sparse_acquire`` computes them once and reads them through every
+stage: 1 length-n FFT and 5*S length-f FFTs per acquisition, with the same
+bytes out as running every stage's experiments separately
+(``acquire_stage``, which spends the ``VARIANT_COST`` lenses: n, f and f for
+the cosine cascade, f for the others).
 """
 from __future__ import annotations
 
@@ -55,6 +60,8 @@ from .measurement import FOURIER, MeasurementSet, ModulationParams, encode
 EXPLICIT_N_LIMIT = 1 << 22  # largest n whose length-n fields we materialize
 
 VARIANTS = ("plain", "shift_fwd", "shift_bwd", "cosine", "check")
+# the sample shift of each one-lens variant's field; the check shifts by L
+SHIFTS = {"plain": 0, "shift_fwd": 1, "shift_bwd": -1}
 
 # physical cost of one stage acquisition, (masks, lenses)
 VARIANT_COST = {
@@ -187,36 +194,41 @@ def alias_fold(X: np.ndarray, f: int) -> np.ndarray:
     return X.reshape(n // f, f).sum(axis=0)
 
 
-def _prepare_field(x: np.ndarray, plan: MaskLensPlan, variant: str) -> np.ndarray:
-    """The light field of an experiment as it reaches the stage mask; it does
-    not depend on the stage."""
-    if variant == "cosine":
-        # x -> lens -> cos mask -> lens
-        spectrum = np.fft.fft(x)
-        spectrum *= plan.cos_mask
-        return np.fft.fft(spectrum)
-    if variant == "plain":
-        return x
-    if variant == "shift_fwd":
-        return np.roll(x, -1)
-    if variant == "shift_bwd":
-        return np.roll(x, 1)
-    return np.roll(x, -plan.L)  # check
+def _cosine_spectrum(x: np.ndarray, plan: MaskLensPlan) -> np.ndarray:
+    """The cosine cascade's first lens and its cos mask: cos o F x, length n.
+    Every stage's second lens reads it only through ``alias_fold``."""
+    spectrum = np.fft.fft(x)
+    spectrum *= plan.cos_mask
+    return spectrum
 
 
-def _detect(field: np.ndarray, stage: StagePlan, variant: str) -> np.ndarray:
-    """Stage mask -> lens -> detector, calibrated; returns the f unique values.
+def _stage_values(
+    x: np.ndarray, spectrum: np.ndarray | None, plan: MaskLensPlan, stage: StagePlan, variant: str
+) -> np.ndarray:
+    """One experiment's f calibrated magnitudes: the field on the stage mask's
+    n/f lattice -> mask -> length-f lens -> detector.
 
-    The mask passes only the samples on its n/f lattice, so the length-n lens
+    The mask passes only the samples on its lattice, so the length-n lens
     output is the length-f transform of those samples, repeated n/f times.
+    A one-lens variant's field is a circular shift of ``x``, read straight at
+    the shifted lattice. The cosine variant's field is the second lens applied
+    to ``spectrum`` (``_cosine_spectrum``), and a length-n transform sampled
+    every n/f slots is the length-f transform of the spectrum folded modulo
+    f, so that lens runs at length f too.
     """
-    n = len(field)
+    n = plan.n
     if len(stage.mask) != n:
         raise ParameterError("mask length must match the signal")
-    taps = stage.mask[:: n // stage.f]
+    step = n // stage.f
+    taps = stage.mask[::step]
     if np.count_nonzero(taps) != np.count_nonzero(stage.mask):
         raise ReplicaMismatchError(f"stage mask for f={stage.f} passes samples off its n/f lattice")
-    z = np.abs(np.fft.fft(taps * field[:: n // stage.f]))
+    if variant == "cosine":
+        field = np.fft.fft(alias_fold(spectrum, stage.f))
+    else:
+        shift = plan.L if variant == "check" else SHIFTS[variant]
+        field = x[(np.arange(0, n, step) + shift) % n]
+    z = np.abs(np.fft.fft(taps * field))
     if variant == "cosine":
         # the double transform reverses indices; undo it, then calibrate
         return 2.0 * _index_reversal(z) / stage.f
@@ -238,7 +250,8 @@ def acquire_stage(x: np.ndarray, plan: MaskLensPlan, stage: StagePlan, variant: 
     x = _signal(x, plan.n)
     if variant not in VARIANTS:
         raise ParameterError(f"unknown stage variant {variant!r}")
-    return _detect(_prepare_field(x, plan, variant), stage, variant)
+    spectrum = _cosine_spectrum(x, plan) if variant == "cosine" else None
+    return _stage_values(x, spectrum, plan, stage, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +263,19 @@ def ff_sparse_acquire(x: np.ndarray, ensemble: CrtEnsemble, seed: int) -> Measur
 
     ``x`` is the time-domain signal whose spectrum X = F x is sparse; the
     returned set is bin-aligned with the CRT ensemble over X and decodes with
-    the Fourier-mode pipeline. Each variant's field is prepared once and
-    detected through every stage; the values equal per-stage
-    ``acquire_stage`` calls byte for byte.
+    the Fourier-mode pipeline. The cosine cascade's first lens runs once and
+    every stage reads it; the values equal per-stage ``acquire_stage`` calls
+    byte for byte.
     """
     if not isinstance(ensemble, CrtEnsemble):
         raise ParameterError("mask/lens acquisition requires a CRT ensemble")
     x = _signal(x, ensemble.n)
     plan = build_plan(ensemble, seed)
+    spectrum = _cosine_spectrum(x, plan)
     y = np.zeros((ensemble.M, 4), dtype=np.float64)
     for col, variant in enumerate(("shift_fwd", "shift_bwd", "cosine", "check")):
-        field = _prepare_field(x, plan, variant)
         for stage in plan.stages:
-            y[stage.offset : stage.offset + stage.f, col] = _detect(field, stage, variant)
+            y[stage.offset : stage.offset + stage.f, col] = _stage_values(x, spectrum, plan, stage, variant)
     return MeasurementSet(y=y, params=plan.params)
 
 

@@ -251,6 +251,83 @@ def test_resolvable_skips_already_colored_candidates():
 
 
 # ---------------------------------------------------------------------------
+# Lazy weights: the judges compute the weights they test and cache only hits
+# ---------------------------------------------------------------------------
+
+def _assert_cache_is_exact(cache, params):
+    for ell, g in cache.items():
+        assert repr(g) == repr(modulation_coeffs(params, ell)), ell
+
+
+@pytest.mark.parametrize("mode", [dec.GENERAL, FOURIER])
+def test_scalar_judges_agree_bytewise_with_no_cold_or_warm_cache(mode):
+    rng = np.random.default_rng(21)
+    params = ModulationParams(n=4095, L=1001, mode=mode)
+    resolved = 0
+    for trial in range(400):
+        true_case = trial % 3 != 0
+        st, balls = make_singleton_case(rng, params, true_case)
+        truth = {ell for ell, _ in balls}
+        member = truth.__contains__
+        plain = process_singleton(st, params, membership=member)
+        cold: dict = {}
+        warm = {ell: modulation_coeffs(params, ell) for ell in truth}
+        warm_before = dict(warm)
+        assert repr(process_singleton(st, params, membership=member, coeff_cache=cold)) == repr(plain)
+        assert repr(process_singleton(st, params, membership=member, coeff_cache=warm)) == repr(plain)
+        assert cold == {} and warm == warm_before  # the singleton judge never fills the cache
+
+        st, forest, knowns, unknowns = make_resolvable_case(
+            rng, params, true_case, known_count=1 + trial % 3
+        )
+        truth = {ell for ell, _ in unknowns}
+        member = truth.__contains__
+        plain = dec._resolvable_full(st, forest, params, membership=member)
+        cold = {}
+        warm = {ell: modulation_coeffs(params, ell) for ell, _ in knowns + unknowns}
+        assert repr(dec._resolvable_full(st, forest, params, membership=member, coeff_cache=cold)) == repr(plain)
+        assert repr(dec._resolvable_full(st, forest, params, membership=member, coeff_cache=warm)) == repr(plain)
+        # the members' weights, and a candidate's only once it passes every test
+        hits = {plain[1][0]} if plain[0] == "resolved" else set()
+        assert cold.keys() <= {ell for ell, _ in knowns} | truth
+        assert cold.keys() - {ell for ell, _ in knowns} <= hits | truth
+        _assert_cache_is_exact(cold, params)
+        _assert_cache_is_exact(warm, params)
+        resolved += plain[0] == "resolved"
+    assert resolved > 150
+
+
+def test_engine_cache_holds_exact_weights_of_colored_balls_only():
+    # on real decodes every cached weight equals modulation_coeffs bit for
+    # bit, and the candidates the judges reject stay out of the cache
+    engines = []
+
+    class RecordingEngine(dec._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.ever_colored = set()
+            engines.append(self)
+
+        def color_ball(self, ell, value, root):
+            self.ever_colored.add(ell)
+            super().color_ball(ell, value, root)
+
+    original = dec._Engine
+    dec._Engine = RecordingEngine
+    try:
+        for label, meas, ens, K in _cache_panel():
+            if ens.M >= dec.ROUND_ENGINE_MIN_BINS:
+                continue
+            for alg in ALGORITHMS:
+                get_decoder(alg)(meas, ens, meas.params, K_hint=K)
+                engine = engines.pop()
+                _assert_cache_is_exact(engine.coeff_cache, meas.params)
+                assert engine.coeff_cache.keys() <= engine.ever_colored, (label, alg)
+    finally:
+        dec._Engine = original
+
+
+# ---------------------------------------------------------------------------
 # Location candidates
 # ---------------------------------------------------------------------------
 

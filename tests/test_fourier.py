@@ -125,26 +125,22 @@ def test_shift_variants_apply_pure_modulations():
 
 
 def test_physical_experiment_costs(monkeypatch):
-    # shifted/plain/check variants spend one lens (one transform); the
-    # cosine cascade spends three
+    # shifted/plain/check variants spend one lens of length f; the cosine
+    # cascade spends three: its first lens at length n, then two at length f
     from phasecode.fourier import VARIANT_COST
 
     ens = build_crt([3, 4, 5])
     plan = build_plan(ens, seed=4)
+    stage = plan.stages[0]
     rng = np.random.default_rng(44)
     x = rng.normal(size=60) + 1j * rng.normal(size=60)
-    calls = {"ffts": 0}
-    real_fft = np.fft.fft
-
-    def counting_fft(*args, **kwargs):
-        calls["ffts"] += 1
-        return real_fft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    lengths = _count_ffts(monkeypatch)
+    expected = {"cosine": [60, stage.f, stage.f]}
     for variant, (_, lenses) in VARIANT_COST.items():
-        calls["ffts"] = 0
-        acquire_stage(x, plan, plan.stages[0], variant)
-        assert calls["ffts"] == lenses, variant
+        lengths.clear()
+        acquire_stage(x, plan, stage, variant)
+        assert lengths == expected.get(variant, [stage.f]), variant
+        assert len(lengths) == lenses, variant
 
 
 def _count_ffts(monkeypatch):
@@ -215,9 +211,10 @@ def test_pruned_detection_matches_the_dense_chain():
                     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), (coprimes, variant, stage.f)
 
 
-def test_repeated_acquisition_spends_4s_plus_2_ffts(monkeypatch):
-    # only the two cosine lenses run at length n; every stage is detected
-    # with a length-f lens, once per experiment
+def test_repeated_acquisition_spends_one_length_n_and_5s_length_f_ffts(monkeypatch):
+    # only the cosine cascade's first lens runs at length n, once per
+    # acquisition; every stage's cosine second lens and every detection run
+    # at length f
     ens = build_crt([5, 7, 9, 11])
     heights = ens.stage_heights
     _, x = _random_spectrum_signal(ens, 4, seed=61)
@@ -226,8 +223,7 @@ def test_repeated_acquisition_spends_4s_plus_2_ffts(monkeypatch):
     for seed in (1, 2):
         lengths.clear()
         ff_sparse_acquire(x, ens, seed)
-        assert len(lengths) == 4 * len(heights) + 2
-        assert sorted(lengths) == sorted([ens.n] * 2 + list(heights) * 4)
+        assert sorted(lengths) == sorted([ens.n] + list(heights) * 5)
 
 
 def test_plans_of_a_cached_code_share_read_only_optics(monkeypatch):
