@@ -688,6 +688,13 @@ class _Engine:
             self.dirty[b0] = 1
             self.exhausted[b0] = 0
 
+    def revisit(self, balls: Sequence[int]) -> None:
+        """Mark the bins of ``balls`` dirty: a merge rotated their values."""
+        dirty = self.dirty
+        for ell in balls:
+            for b in self.bins_of(ell):
+                dirty[b - 1] = 1
+
     def bin_state(self, b0: int) -> BinState:
         """The engine's one BinState, pointed at bin ``b0`` (0-based)."""
         visit = self.visit
@@ -805,16 +812,14 @@ class _Engine:
                 elif len(roots) == 2 and allow_merge:
                     self.stats.processor_calls += 1
                     ra, rb = roots
-                    smaller = ra if forest.size(ra) <= forest.size(rb) else rb
-                    moved = list(forest.members(smaller))
+                    # union pops the absorbed root's members unchanged
+                    mem_a, mem_b = forest.members(ra), forest.members(rb)
                     psi = process_mergeable(
                         self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache
                     )
                     if psi is not None:
                         exhausted[b0] = 1
-                        for ell in moved:  # their values rotated: revisit their bins
-                            for b in self.bins_of(ell):
-                                dirty[b - 1] = 1
+                        self.revisit(mem_a if parent[ra] != ra else mem_b)
                         changed = True
             if not changed:
                 break

@@ -584,3 +584,36 @@ def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
             assert colored <= engine.bins.keys(), (label, alg)
     assert checked["calls"] > 1000
     assert checked["merges"] > 100  # multicolor merges, which re-root members
+
+
+def test_a_merge_revisits_the_bins_of_the_component_it_absorbed(monkeypatch):
+    # union absorbs the second color of a bin on equal sizes; the sweep must
+    # re-mark the bins of whichever component union actually absorbed
+    events = []
+    original_union = ColorForest.union
+    original_revisit = dec._Engine.revisit
+
+    def union(self, root_a, root_b, psi):
+        tie = self.size(root_a) == self.size(root_b)
+        big, moved = original_union(self, root_a, root_b, psi)
+        events.append(("union", tuple(moved), tie))
+        return big, moved
+
+    def revisit(self, balls):
+        events.append(("revisit", tuple(balls)))
+        original_revisit(self, balls)
+        assert all(self.dirty[b - 1] for ell in balls for b in self.bins_of(ell))
+
+    monkeypatch.setattr(ColorForest, "union", union)
+    monkeypatch.setattr(dec._Engine, "revisit", revisit)
+    for label, meas, ens, K in _cache_panel():
+        if ens.M < dec.ROUND_ENGINE_MIN_BINS:
+            decode_multicolor(meas, ens, meas.params, K_hint=K)
+    # every merge of a multicolor sweep is followed by the revisit of the
+    # balls it moved, and by nothing else
+    assert len(events) % 2 == 0
+    unions, revisits = events[::2], events[1::2]
+    assert all(kind == "union" for kind, *_ in unions)
+    for (_, moved, _), (kind, balls) in zip(unions, revisits):
+        assert kind == "revisit" and balls == moved
+    assert sum(tie for _, _, tie in unions) > 20
