@@ -391,8 +391,10 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
 
     Residuals are relative to the reference operator's largest output entry.
     ``circulant`` and ``replica`` check the dense ``mask_lens_measure``;
-    ``cosine`` and ``shifted`` check ``acquire_stage``, the detection that
-    acquisition runs, against the aliased modulated spectrum.
+    ``cosine`` and ``shifted`` check ``acquire_stage`` against the aliased
+    modulated spectrum; ``acquire`` checks ``ff_sparse_acquire``, the path a
+    mask/lens acquisition runs, against ``ff_sparse_acquire_implicit`` on
+    sparse spectra.
     """
     results = []
     tol = 1e-9
@@ -403,7 +405,9 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
         ens = build_crt(factors)
         rng = np.random.default_rng(mix64(seed, n))
         plan = build_plan(ens, mix64(seed, n, 1))
-        worst = {"circulant": 0.0, "replica": 0.0, "fsquared": 0.0, "cosine": 0.0, "shifted": 0.0}
+        sparse_rng = np.random.default_rng(mix64(seed, n, 2))  # the acquire suite's draws
+        worst = {"circulant": 0.0, "replica": 0.0, "fsquared": 0.0, "cosine": 0.0, "shifted": 0.0, "acquire": 0.0}
+        K = max(1, ens.M // 4)
         # the pure modulation each one-lens experiment applies to the spectrum
         j = np.arange(n)
         mods = {
@@ -442,6 +446,11 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
                     got = acquire_stage(x, plan, stage, variant)
                     ref = np.abs(alias_fold(mod * X, f))
                     worst["shifted"] = max(worst["shifted"], _relative_residual(got, ref))
+            spectrum = generate_signal(n, K, int(sparse_rng.integers(1 << 62)))
+            acq_seed = int(sparse_rng.integers(1 << 62))
+            ref = ff_sparse_acquire_implicit(spectrum, ens, acq_seed).y
+            got = ff_sparse_acquire(np.fft.ifft(spectrum.dense()), ens, acq_seed).y
+            worst["acquire"] = max(worst["acquire"], _relative_residual(got, ref))
         for name, resid in worst.items():
             results.append((f"n={n} {name}", resid, resid <= tol))
     return results

@@ -109,6 +109,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -1220,7 +1221,28 @@ def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow
     return engine.result(K_hint, (1 if merge else 2) + done)
 
 
+def _count(value, name: str, allow_none: bool = False) -> int | None:
+    """``value`` as a nonnegative Python int (None passes where allowed)."""
+    if value is None and allow_none:
+        return None
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge: bool) -> DecodeResult:
+    K_hint = _count(K_hint, "K_hint")
+    max_sweeps = _count(max_sweeps, "max_sweeps", allow_none=True)
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError):
+        raise ParameterError(f"tol must be a number, got {tol!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
     grow = _RoundEngine if meas.M >= ROUND_ENGINE_MIN_BINS else None
     return _run(_Engine(meas, ensemble, params or meas.params, tol), K_hint, max_sweeps, merge, grow)
 

@@ -71,6 +71,10 @@ class ModulationParams:
         """Draw L uniformly from {1..n-1}; the degenerate L=0 is redrawn."""
         if n < 2:
             raise ParameterError("modulation needs n >= 2")
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ParameterError(f"seed must be an integer, got {seed!r}") from None
         attempt = 0
         while True:
             L = mix64(seed, 0xC4EC, attempt) % n
@@ -85,6 +89,13 @@ class MeasurementSet:
 
     y: np.ndarray  # shape (M, 4), float64
     params: ModulationParams
+
+    def __post_init__(self):
+        y = self.y
+        if not isinstance(y, np.ndarray) or y.ndim != 2 or y.shape[1] != 4 or y.dtype.kind not in "iuf":
+            raise ParameterError(f"measurements must be a real (M, 4) array, got shape {np.shape(y)}")
+        if not (np.isfinite(y).all() and (y >= 0).all()):
+            raise ParameterError("measurements must be finite and nonnegative")
 
     @property
     def M(self) -> int:

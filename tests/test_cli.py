@@ -209,6 +209,24 @@ def test_ff_verify_all_pass():
     assert all(ok for _, _, ok in results)
 
 
+def test_ff_verify_checks_the_shared_field_acquisition(monkeypatch):
+    # the acquire suite is the one that runs ff_sparse_acquire, the path a
+    # mask/lens acquisition takes; a skew there must fail it alone
+    import phasecode.cli as cli_module
+    from phasecode.measurement import MeasurementSet
+
+    real = cli_module.ff_sparse_acquire
+
+    def skewed(x, ens, seed):
+        meas = real(x, ens, seed)
+        return MeasurementSet(meas.y * (1.0 + 1e-7), meas.params)
+
+    monkeypatch.setattr(cli_module, "ff_sparse_acquire", skewed)
+    results = {name: ok for name, _, ok in run_ff_verify(n_list=[60], checks_per_case=3, seed=1)}
+    assert results.pop("n=60 acquire") is False
+    assert all(results.values())
+
+
 def test_ff_verify_unknown_size_is_config_error():
     assert main(["ff-verify", "--n-list", "61"]) == 2
 

@@ -27,8 +27,8 @@ from phasecode.decoder import (
     process_singleton,
 )
 from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins, build_crt
-from phasecode.fourier import ff_sparse_acquire_implicit
-from phasecode.measurement import FOURIER, ModulationParams, encode, modulation_coeffs
+from phasecode.fourier import ff_sparse_acquire, ff_sparse_acquire_implicit
+from phasecode.measurement import FOURIER, MeasurementSet, ModulationParams, encode, modulation_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +489,48 @@ def test_decode_rejects_mismatched_ensemble():
     other = build_balls_and_bins(4096, ens.M + 1, 7, seed=1)
     with pytest.raises(ParameterError):
         decode_unicolor(meas, other, params, K_hint=sig.k)
+
+
+def _malformed_probe_instance():
+    ens = build_crt([5, 7, 9, 11])
+    sig = generate_signal(ens.n, 4, 31)
+    return ens, sig, ff_sparse_acquire_implicit(sig, ens, 77)
+
+
+def _with_y(meas, edit):
+    y = meas.y.copy()
+    edit(y)
+    return y
+
+
+MALFORMED_PROBES = {
+    "K_hint=-1": lambda ens, sig, meas: decode_unicolor(meas, ens, K_hint=-1),
+    "K_hint=1.5": lambda ens, sig, meas: decode_multicolor(meas, ens, K_hint=1.5),
+    "K_hint=None": lambda ens, sig, meas: decode_unicolor(meas, ens, K_hint=None),
+    "tol=-1": lambda ens, sig, meas: decode_multicolor(meas, ens, K_hint=4, tol=-1.0),
+    "tol=nan": lambda ens, sig, meas: decode_unicolor(meas, ens, K_hint=4, tol=float("nan")),
+    "max_sweeps=-1": lambda ens, sig, meas: decode_multicolor(meas, ens, K_hint=4, max_sweeps=-1),
+    "y with a NaN": lambda ens, sig, meas: MeasurementSet(
+        _with_y(meas, lambda y: y.__setitem__((0, 2), np.nan)), meas.params
+    ),
+    "y with a negative entry": lambda ens, sig, meas: MeasurementSet(
+        _with_y(meas, lambda y: y.__setitem__((3, 0), -1e-3)), meas.params
+    ),
+    "y of shape (M, 3)": lambda ens, sig, meas: MeasurementSet(meas.y[:, :3].copy(), meas.params),
+    "acquisition seed 'a'": lambda ens, sig, meas: ff_sparse_acquire(np.fft.ifft(sig.dense()), ens, "a"),
+    "acquisition seed 1.5": lambda ens, sig, meas: ff_sparse_acquire(np.fft.ifft(sig.dense()), ens, 1.5),
+    "x holding a NaN": lambda ens, sig, meas: ff_sparse_acquire(
+        np.where(np.arange(ens.n) == 5, np.nan, np.fft.ifft(sig.dense())), ens, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED_PROBES))
+def test_malformed_decode_inputs_raise_parameter_error(probe):
+    ens, sig, meas = _malformed_probe_instance()
+    assert decode_unicolor(meas, ens, K_hint=4).status == RecoveryStatus.FULL_RECOVERY
+    with pytest.raises(ParameterError):
+        MALFORMED_PROBES[probe](ens, sig, meas)
 
 
 def test_decoder_lookup_names_both_decoders_and_rejects_others():
