@@ -406,7 +406,8 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
         rng = np.random.default_rng(mix64(seed, n))
         plan = build_plan(ens, mix64(seed, n, 1))
         sparse_rng = np.random.default_rng(mix64(seed, n, 2))  # the acquire suite's draws
-        worst = {"circulant": 0.0, "replica": 0.0, "fsquared": 0.0, "cosine": 0.0, "shifted": 0.0, "acquire": 0.0}
+        suites = ("circulant", "replica", "fsquared", "cosine", "shifted", "acquire")
+        worst = dict.fromkeys(suites, 0.0)
         K = max(1, ens.M // 4)
         # the pure modulation each one-lens experiment applies to the spectrum
         j = np.arange(n)

@@ -280,14 +280,14 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
 
 def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int]:
     """``location_candidates`` for a judge that has read omega already."""
-    a = math.acos(min(max(cos_abs, 0.0), 1.0))
+    a = math.acos(0.0 if cos_abs < 0.0 else 1.0 if cos_abs > 1.0 else cos_abs)
     if not fourier:
         ell = round(a / omega)
         return [ell] if 1 <= ell <= n else []
     out: list[int] = []
     for theta in (a, math.pi - a, math.pi + a, _TWO_PI - a):
         ell = round(theta / omega) or n  # theta ~ 0 and theta ~ 2pi name the same ball
-        if 1 <= ell <= n and ell not in out:
+        if ell <= n and ell not in out:  # theta >= 0, so ell >= 1
             out.append(ell)
     return out
 
@@ -397,10 +397,11 @@ def process_singleton(
     if abs(y1 - y2) > tol * y1 or abs(y1 - y4) > tol * y1:
         return None
     omega = params.omega
+    margin = tol * y1
     hits: list[int] = []
     for ell in _candidates(y3 / (2.0 * y1), omega, params.n, params.mode == FOURIER):
         # g3 alone, computed as modulation_coeffs does
-        if abs(abs(2.0 * math.cos(omega * ell)) * y1 - y3) > tol * y1:
+        if abs(abs(2.0 * math.cos(omega * ell)) * y1 - y3) > margin:
             continue
         if membership is not None and not membership(ell):
             continue
@@ -497,31 +498,33 @@ def _resolvable_full(
     scale = max(y)
     if scale <= 0.0:
         return "none", None
+    margin = tol * scale
     if (
-        abs(abs(a) - y1) <= tol * scale
-        and abs(abs(b) - y2) <= tol * scale
-        and abs(abs(c) - y3) <= tol * scale
-        and abs(abs(dd) - y4) <= tol * scale
+        abs(abs(a) - y1) <= margin
+        and abs(abs(b) - y2) <= margin
+        and abs(abs(c) - y3) <= margin
+        and abs(abs(dd) - y4) <= margin
     ):
         return "exhausted", None
 
     # Guess: exactly one unknown ball on top of the knowns.
-    if y1 <= tol * scale or y2 <= tol * scale:
+    if y1 <= margin or y2 <= margin:
         return "none", None
-    if abs(c) <= tol * scale:
+    if abs(c) <= margin:
         return "none", None  # the k-variable construction divides by c
     carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
     if abs(carg) > 1.0 + tol:
         return "none", None
     alpha0 = math.acos(min(max(carg, -1.0), 1.0))
     k4 = y3 / abs(c)
-    margin = tol * scale
     omega = params.omega
     fourier = params.mode == FOURIER
+    colored = forest._val
     hits: list[tuple[int, complex]] = []
     for sign in (1.0, -1.0):
         z = (y1 / y2) * cmath.exp(1j * sign * alpha0)
-        k1 = 1.0 - z + 2.0 * (z * b - a) / c
+        zb_a = z * b - a
+        k1 = 1.0 - z + 2.0 * zb_a / c
         k2 = 1.0 + z
         k3 = 1.0 - z
         k5 = abs(k1) ** 2 - k4 * k4 * abs(k3) ** 2
@@ -545,7 +548,7 @@ def _resolvable_full(
                 continue
             cos_abs = math.sqrt(min(max(u, 0.0), 1.0))
             for ell in _candidates(cos_abs, omega, params.n, fourier):
-                if forest.has(ell):
+                if ell in colored:
                     continue
                 # the weights as modulation_coeffs computes them; the check
                 # row's only for a candidate that rows 1-3 accept
@@ -555,7 +558,7 @@ def _resolvable_full(
                 denom = g1 - z * g2
                 if abs(denom) <= 1e-14:
                     continue
-                x = (z * b - a) / denom
+                x = zb_a / denom
                 g3 = 2.0 * math.cos(w)
                 if (
                     abs(abs(a + g1 * x) - y1) > margin
@@ -666,8 +669,10 @@ class _Engine:
         # one BinState and one membership test for every visit: ``bin_state``
         # points the view at the visited bin, and the test reads its id
         self.visit = visit = BinState(0, (0.0, 0.0, 0.0, 0.0))
-        bins_of = self.bins_of
-        self.in_visited_bin: Callable[[int], bool] = lambda ell: visit.bin_id in bins_of(ell)
+        bins, bins_of = self.bins, self.bins_of
+        self.in_visited_bin: Callable[[int], bool] = (
+            lambda ell: visit.bin_id in (bins.get(ell) or bins_of(ell))
+        )
 
     # -- helpers ------------------------------------------------------------
 

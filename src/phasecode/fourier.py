@@ -275,7 +275,8 @@ def ff_sparse_acquire(x: np.ndarray, ensemble: CrtEnsemble, seed: int) -> Measur
     y = np.zeros((ensemble.M, 4), dtype=np.float64)
     for col, variant in enumerate(("shift_fwd", "shift_bwd", "cosine", "check")):
         for stage in plan.stages:
-            y[stage.offset : stage.offset + stage.f, col] = _stage_values(x, spectrum, plan, stage, variant)
+            rows = slice(stage.offset, stage.offset + stage.f)
+            y[rows, col] = _stage_values(x, spectrum, plan, stage, variant)
     return MeasurementSet(y=y, params=plan.params)
 
 

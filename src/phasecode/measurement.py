@@ -92,8 +92,8 @@ class MeasurementSet:
 
     def __post_init__(self):
         y = self.y
-        if not isinstance(y, np.ndarray) or y.ndim != 2 or y.shape[1] != 4 or y.dtype.kind not in "iuf":
-            raise ParameterError(f"measurements must be a real (M, 4) array, got shape {np.shape(y)}")
+        if not (isinstance(y, np.ndarray) and y.ndim == 2 and y.shape[1] == 4 and y.dtype.kind in "iuf"):
+            raise ParameterError(f"measurements must be a real (M, 4) array, got {np.shape(y)}")
         if not (np.isfinite(y).all() and (y >= 0).all()):
             raise ParameterError("measurements must be finite and nonnegative")
 
