@@ -666,13 +666,8 @@ class _Engine:
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
         self.bins: dict[int, tuple[int, ...]] = {}
-        # one BinState and one membership test for every visit: ``bin_state``
-        # points the view at the visited bin, and the test reads its id
-        self.visit = visit = BinState(0, (0.0, 0.0, 0.0, 0.0))
-        bins, bins_of = self.bins, self.bins_of
-        self.in_visited_bin: Callable[[int], bool] = (
-            lambda ell: visit.bin_id in (bins.get(ell) or bins_of(ell))
-        )
+        # one BinState for every visit, which ``bin_state`` points at the bin
+        self.visit = BinState(0, (0.0, 0.0, 0.0, 0.0))
 
     # -- helpers ------------------------------------------------------------
 
@@ -701,6 +696,13 @@ class _Engine:
             for b in self.bins_of(ell):
                 dirty[b - 1] = 1
 
+    def visited_bin_test(self) -> Callable[[int], bool]:
+        """Membership in the bin ``bin_state`` last pointed at: one test per
+        phase, not per visit. It is never stored on the engine, which it
+        refers to, so an engine is freed as soon as its decode returns."""
+        visit, bins, bins_of = self.visit, self.bins, self.bins_of
+        return lambda ell: visit.bin_id in (bins.get(ell) or bins_of(ell))
+
     def bin_state(self, b0: int) -> BinState:
         """The engine's one BinState, pointed at bin ``b0`` (0-based)."""
         visit = self.visit
@@ -718,13 +720,14 @@ class _Engine:
         candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= tol * y1) & (
             np.abs(y1 - y[:, 3]) <= tol * y1
         )
+        in_visited_bin = self.visited_bin_test()
         for b0 in np.flatnonzero(candidate).tolist():
             self.stats.processor_calls += 1
             hit = process_singleton(
                 self.bin_state(b0),
                 self.params,
                 tol,
-                membership=self.in_visited_bin,
+                membership=in_visited_bin,
                 coeff_cache=self.coeff_cache,
             )
             if hit is None:
@@ -778,6 +781,7 @@ class _Engine:
         parent = forest._parent
         # color_ball and the merges update these in place
         discovered, dirty, exhausted = self.discovered, self.dirty, self.exhausted
+        in_visited_bin = self.visited_bin_test()
         done = 0
         while done < max_sweeps and not self.decoded_fully(K_hint, allow_merge):
             done += 1
@@ -803,7 +807,7 @@ class _Engine:
                         forest,
                         self.params,
                         self.tol,
-                        membership=self.in_visited_bin,
+                        membership=in_visited_bin,
                         coeff_cache=self.coeff_cache,
                         sums=_member_sums(mem, forest, self.params, self.coeff_cache),
                     )

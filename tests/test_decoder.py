@@ -659,3 +659,30 @@ def test_a_merge_revisits_the_bins_of_the_component_it_absorbed(monkeypatch):
     for (_, moved, _), (kind, balls) in zip(unions, revisits):
         assert kind == "revisit" and balls == moved
     assert sum(tie for _, _, tie in unions) > 20
+
+
+def test_an_engine_is_freed_when_its_decode_returns(monkeypatch):
+    # a reference cycle through the engine would keep its per-bin lists and
+    # caches alive until a full collection, which raises a process's peak
+    # memory with every decode
+    import gc
+    import weakref
+
+    engines = []
+    original_init = dec._Engine.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(dec._Engine, "__init__", init)
+    gc.disable()
+    try:
+        for K in (50, 400):  # the scalar engine, then the round engine
+            sig, ens, params, meas = _random_instance(123, K=K)
+            for alg in ALGORITHMS:
+                get_decoder(alg)(meas, ens, params, K_hint=sig.k)
+        assert len(engines) == 4
+        assert all(ref() is None for ref in engines)
+    finally:
+        gc.enable()
