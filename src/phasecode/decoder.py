@@ -335,16 +335,6 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
-def _coeffs(params: ModulationParams, ell: int, cache: dict | None):
-    if cache is None:
-        return modulation_coeffs(params, ell)
-    got = cache.get(ell)
-    if got is None:
-        got = modulation_coeffs(params, ell)
-        cache[ell] = got
-    return got
-
-
 # ---------------------------------------------------------------------------
 # Bin processors
 # ---------------------------------------------------------------------------
@@ -368,7 +358,11 @@ def _member_sums(
         else:
             v = forest.value(ell)
         g = coeff_cache.get(ell) if coeff_cache is not None else None
-        g1, g2, g3, g4 = g if g is not None else _coeffs(params, ell, coeff_cache)
+        if g is None:
+            g = modulation_coeffs(params, ell)
+            if coeff_cache is not None:
+                coeff_cache[ell] = g
+        g1, g2, g3, g4 = g
         a += g1 * v
         b += g2 * v
         c += g3 * v
