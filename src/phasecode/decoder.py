@@ -136,7 +136,9 @@ ALGORITHMS = ("unicolor", "multicolor")
 # on the scalar engine (measured crossover in the module docstring).
 ROUND_ENGINE_MIN_BINS = 1024
 
+_PI = math.pi
 _TWO_PI = 2.0 * math.pi
+_acos = math.acos
 _SIGNS = np.array([[1.0], [-1.0]])  # the two signs of an arccos, as a column
 
 
@@ -280,12 +282,12 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
 
 def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int]:
     """``location_candidates`` for a judge that has read omega already."""
-    a = math.acos(0.0 if cos_abs < 0.0 else 1.0 if cos_abs > 1.0 else cos_abs)
+    a = _acos(0.0 if cos_abs < 0.0 else 1.0 if cos_abs > 1.0 else cos_abs)
     if not fourier:
         ell = round(a / omega)
         return [ell] if 1 <= ell <= n else []
     out: list[int] = []
-    for theta in (a, math.pi - a, math.pi + a, _TWO_PI - a):
+    for theta in (a, _PI - a, _PI + a, _TWO_PI - a):
         ell = round(theta / omega) or n  # theta ~ 0 and theta ~ 2pi name the same ball
         if ell <= n and ell not in out:  # theta >= 0, so ell >= 1
             out.append(ell)
@@ -677,11 +679,12 @@ class _Engine:
             self.forest.add_root(ell, value)
         else:
             self.forest.add_member(ell, value, root)
+        discovered, dirty, exhausted = self.discovered, self.dirty, self.exhausted
         for b in self.bins_of(ell):
             b0 = b - 1
-            self.discovered[b0] += (ell,)
-            self.dirty[b0] = 1
-            self.exhausted[b0] = 0
+            discovered[b0] += (ell,)
+            dirty[b0] = 1
+            exhausted[b0] = 0
 
     def revisit(self, balls: Sequence[int]) -> None:
         """Mark the bins of ``balls`` dirty: a merge rotated their values."""
@@ -714,20 +717,17 @@ class _Engine:
         candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= tol * y1) & (
             np.abs(y1 - y[:, 3]) <= tol * y1
         )
+        params, forest, stats = self.params, self.forest, self.stats
         in_visited_bin = self.visited_bin_test()
         for b0 in np.flatnonzero(candidate).tolist():
-            self.stats.processor_calls += 1
+            stats.processor_calls += 1
             hit = process_singleton(
-                self.bin_state(b0),
-                self.params,
-                tol,
-                membership=in_visited_bin,
-                coeff_cache=self.coeff_cache,
+                self.bin_state(b0), params, tol, membership=in_visited_bin, coeff_cache=self.coeff_cache
             )
             if hit is None:
                 continue
             ell, mag = hit
-            if self.forest.has(ell):
+            if forest.has(ell):
                 continue  # already found through another of its bins
             self.color_ball(ell, complex(mag), None)
 
