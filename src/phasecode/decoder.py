@@ -138,7 +138,6 @@ ROUND_ENGINE_MIN_BINS = 1024
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
-_acos = math.acos
 _SIGNS = np.array([[1.0], [-1.0]])  # the two signs of an arccos, as a column
 
 
@@ -282,7 +281,7 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
 
 def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int]:
     """``location_candidates`` for a judge that has read omega already."""
-    a = _acos(0.0 if cos_abs < 0.0 else 1.0 if cos_abs > 1.0 else cos_abs)
+    a = math.acos(0.0 if cos_abs < 0.0 else 1.0 if cos_abs > 1.0 else cos_abs)
     if not fourier:
         ell = round(a / omega)
         return [ell] if 1 <= ell <= n else []
@@ -1224,10 +1223,8 @@ def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow
     return engine.result(K_hint, (1 if merge else 2) + done)
 
 
-def _count(value, name: str, allow_none: bool = False) -> int | None:
-    """``value`` as a nonnegative Python int (None passes where allowed)."""
-    if value is None and allow_none:
-        return None
+def _count(value, name: str) -> int:
+    """``value`` as a nonnegative Python int."""
     try:
         value = operator.index(value)
     except TypeError:
@@ -1239,7 +1236,8 @@ def _count(value, name: str, allow_none: bool = False) -> int | None:
 
 def _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge: bool) -> DecodeResult:
     K_hint = _count(K_hint, "K_hint")
-    max_sweeps = _count(max_sweeps, "max_sweeps", allow_none=True)
+    if max_sweeps is not None:
+        max_sweeps = _count(max_sweeps, "max_sweeps")
     try:
         tol = float(tol)
     except (TypeError, ValueError):
