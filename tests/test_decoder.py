@@ -297,7 +297,7 @@ def test_scalar_judges_agree_bytewise_with_no_cold_or_warm_cache(mode):
     assert resolved > 150
 
 
-def test_engine_cache_holds_exact_weights_of_colored_balls_only():
+def test_engine_cache_holds_exact_weights_of_colored_balls_only(monkeypatch):
     # on real decodes every cached weight equals modulation_coeffs bit for
     # bit, and the candidates the judges reject stay out of the cache
     engines = []
@@ -312,19 +312,15 @@ def test_engine_cache_holds_exact_weights_of_colored_balls_only():
             self.ever_colored.add(ell)
             super().color_ball(ell, value, root)
 
-    original = dec._Engine
-    dec._Engine = RecordingEngine
-    try:
-        for label, meas, ens, K in _cache_panel():
-            if ens.M >= dec.ROUND_ENGINE_MIN_BINS:
-                continue
-            for alg in ALGORITHMS:
-                get_decoder(alg)(meas, ens, meas.params, K_hint=K)
-                engine = engines.pop()
-                _assert_cache_is_exact(engine.coeff_cache, meas.params)
-                assert engine.coeff_cache.keys() <= engine.ever_colored, (label, alg)
-    finally:
-        dec._Engine = original
+    monkeypatch.setattr(dec, "_Engine", RecordingEngine)
+    for label, meas, ens, K in _cache_panel():
+        if ens.M >= dec.ROUND_ENGINE_MIN_BINS:
+            continue
+        for alg in ALGORITHMS:
+            get_decoder(alg)(meas, ens, meas.params, K_hint=K)
+            engine = engines.pop()
+            _assert_cache_is_exact(engine.coeff_cache, meas.params)
+            assert engine.coeff_cache.keys() <= engine.ever_colored, (label, alg)
 
 
 # ---------------------------------------------------------------------------
