@@ -27,47 +27,34 @@ K = 293, 1000 and 4000):
 
 A round costs about 0.9 ms of numpy calls whatever its size, so rounds lose
 on the smallest codes and win from a few hundred bins on. The constant sits
-above the crossover so that every code the reference panel and criterion 4
-pin (M <= 376) keeps the scalar engine, whose decodes stay byte-identical to
-earlier releases; at M = 1024 the round engine is already 1.7-2.3x faster.
-The scalar engine and the scalar processors are also the reference the
-round engine is tested against.
+above the crossover, so every code the reference panel and criterion 4 pin
+(M <= 376) keeps the scalar engine; at M = 1024 the round engine is already
+1.7-2.3x faster. The scalar engine and the scalar processors are also the
+reference the round engine is tested against.
 
 The scalar engine peels in place: it sweeps the bins in order, one Python
 call per visit, so a bin sees what earlier bins of the same sweep colored.
-Accepted balls live in a union-find forest whose edges carry phase
-rotations, so a merge rotates an entire color class in O(1). Each ball's
-bins are computed once per decode (``bins``), and a visit re-sums its bin's
-members in member order, with each member's four weights computed once per
-decode (``coeff_cache``). The judges compute only the weights they test: the
-singleton judge the cosine weight g3 of each location candidate, the
-resolvable judge g1, g2 and g3 of each candidate and the check weight only
-for a candidate that rows 1-3 accept. A candidate enters ``coeff_cache``
-only once it has passed every test, so the cache holds colored balls (and
-the rare hit a bin rejects as ambiguous), not every index ever tried. The
-engine hands every visit the same ``BinState``, re-pointed at the bin.
-
-The sweep finds the root of every member of a bin before choosing a
-processor. That scan fixes when path compression runs, and a compressed
-rotation is a floating-point sum whose association depends on that timing.
-Caching each bin's sums and rotating them eagerly on merge (dropping the scan)
-agrees with a re-sum only to ~1e-15, which at n ~ 1e12 is enough to move
-``round(acos(.)/omega)`` to a neighbouring index and change a decode.
-
-The scan, and ``_member_sums``, skip ``find`` on a member that is a root or
-whose parent is a root. On such a member ``find`` compresses nothing: its
-parent stays, and its rotation is rewritten as ``0.0 + rot``, the same
-number (up to the sign of a zero, which ``exp(1j * rot)`` and every later
-``0.0 + ...`` accumulation ignore). Every ``find`` that does compress a path
-still runs at the moment it ran before, so the timing above is unchanged and
-decodes stay byte-identical.
+Accepted balls live in a ``ColorForest``, where each ball holds its class's
+root and its value in the root's frame. A merge rotates the smaller class's
+values by the relative phase the two-color bin yields, as the paper's merge
+step rotates a whole color class, so a value never depends on when it is
+read. Each ball's bins are computed once per decode (``bins``), and a visit
+re-sums its bin's members in member order, with each member's four weights
+computed once per decode (``coeff_cache``). The judges compute only the
+weights they test: the singleton judge the cosine weight g3 of each location
+candidate, the resolvable judge g1, g2 and g3 of each candidate and the
+check weight only for a candidate that rows 1-3 accept. A candidate enters
+``coeff_cache`` only once it has passed every test, so the cache holds
+colored balls (and the rare hit a bin rejects as ambiguous), not every index
+ever tried. The engine hands every visit the same ``BinState``, re-pointed
+at the bin.
 
 The round engine runs the parallel rounds that density evolution models.
 Its state is numpy arrays: per ball its index, its value in the frame of its
-component's root (no lazy rotations), its root, its four weights and its
-bins; per bin its member table in discovery order. It takes the seeded
-components from the scalar engine's forest and computes their balls'
-weights and bins in one batch. A round
+component's root, its root, its four weights and its bins; per bin its
+member table in discovery order. It takes the seeded components from the
+scalar engine's forest and computes their balls' weights and bins in one
+batch. A round
 
 - takes every dirty bin that is not exhausted and judges it against the
   state at the start of the round, in batches: the exhausted test, the
@@ -96,13 +83,15 @@ K = 1000 -> 2000 time ratio fell to the floor of its band (median 1.62 over
 8 runs, 4 of them failing). With the scalar seeding the ratios sit where the
 scalar engine's did.
 
-``sweeps`` counts rounds, and ``max_sweeps`` caps them. A sweep sees the
-bins it has already updated, a round does not, so a decode needs more
-rounds than sweeps: at n = 1e10, K = 4000 the ``sweeps`` statistic (seeding
-included) is 11 to 13 for Unicolor where the scalar engine reports 7 or 8,
-and 7 for Multicolor where it reports 3. Supports equal the scalar engine's
-up to the ill-conditioned locations of very large n; values differ in the
-last bits.
+``_grow`` runs the growth phase on either engine, one ``round`` at a time
+(a sweep on the scalar engine), until the decode is done or a round changes
+nothing. The ``sweeps`` statistic counts rounds, and ``max_sweeps`` caps
+them. A sweep sees the bins it has already updated, a round does not, so a
+decode needs more rounds than sweeps: at n = 1e10, K = 4000 the ``sweeps``
+statistic (seeding included) is 11 to 13 for Unicolor where the scalar
+engine reports 7 or 8, and 7 for Multicolor where it reports 3. Supports
+equal the scalar engine's up to the ill-conditioned locations of very large
+n; values differ in the last bits.
 """
 from __future__ import annotations
 
@@ -146,17 +135,18 @@ _SIGNS = np.array([[1.0], [-1.0]])  # the two signs of an arccos, as a column
 # ---------------------------------------------------------------------------
 
 class ColorForest:
-    """Union-find over discovered balls with lazy phase rotations.
+    """Color classes of discovered balls, each value kept in its class's frame.
 
-    Each ball stores a complex value expressed in the frame its component had
-    at discovery time; parent links carry the rotation from a node's frame to
-    its parent's frame. Merging two components therefore costs O(1) and keeps
-    every relative phase inside a component fixed forever.
+    A class is named by its root: the ball that founded it, or the root of
+    the larger class it was merged into. Every ball stores its root and its
+    value in the root's frame, so ``find`` and ``value`` are one lookup each
+    and a value never depends on when it is read. A merge rotates the
+    smaller class's values by exp(+-i psi) and re-roots them; with union by
+    size a ball is rotated at most log2(K) times.
     """
 
     def __init__(self):
-        self._parent: dict[int, int] = {}
-        self._rot: dict[int, float] = {}
+        self._root: dict[int, int] = {}
         self._val: dict[int, complex] = {}
         self._members: dict[int, Sequence[int]] = {}
 
@@ -170,27 +160,11 @@ class ColorForest:
         return ell in self._val
 
     def find(self, ell: int) -> int:
-        parent = self._parent
-        rot = self._rot
-        chain = []
-        node = ell
-        while parent[node] != node:
-            chain.append(node)
-            node = parent[node]
-        # path compression, recomputing rotations straight to the root
-        acc = 0.0
-        for link in reversed(chain):
-            acc += rot[link]
-            rot[link] = acc
-            parent[link] = node
-        return node
+        return self._root[ell]
 
     def value(self, ell: int) -> complex:
         """Ball value expressed in its component root's frame."""
-        root = self.find(ell)
-        if ell == root:
-            return self._val[ell]
-        return self._val[ell] * cmath.exp(1j * self._rot[ell])
+        return self._val[ell]
 
     def size(self, root: int) -> int:
         return len(self._members[root])
@@ -209,21 +183,19 @@ class ColorForest:
     def add_root(self, ell: int, value: complex) -> int:
         if ell in self._val:
             raise ParameterError(f"ball {ell} already colored")
-        self._parent[ell] = ell
-        self._rot[ell] = 0.0
+        self._root[ell] = ell
         self._val[ell] = value
         self._members[ell] = (ell,)  # a list once the component grows, see _grown
         return ell
 
     def add_member(self, ell: int, value: complex, root: int) -> None:
         """Color ``ell`` into an existing component; ``value`` is expressed in
-        the current frame of ``root``."""
+        the frame of ``root``."""
         if ell in self._val:
             raise ParameterError(f"ball {ell} already colored")
-        if self._parent.get(root) != root:
+        if root not in self._members:
             raise ParameterError(f"{root} is not a component root")
-        self._parent[ell] = root
-        self._rot[ell] = 0.0
+        self._root[ell] = root
         self._val[ell] = value
         self._grown(root).append(ell)
 
@@ -239,17 +211,23 @@ class ColorForest:
     def union(self, root_a: int, root_b: int, psi: float) -> tuple[int, Sequence[int]]:
         """Merge components so that a-frame value = exp(i*psi) * b-frame value.
 
-        Returns (new root, balls whose root changed). Union by size.
+        The smaller class (``root_b``'s on a tie) moves into the larger one's
+        frame: each of its values is multiplied by exp(i*psi), or by
+        exp(-i*psi) when ``root_b``'s class is the larger. Returns (new root,
+        balls whose root changed).
         """
         if root_a == root_b:
             raise ParameterError("cannot union a component with itself")
         if len(self._members[root_a]) >= len(self._members[root_b]):
-            big, small, rot_small = root_a, root_b, psi
+            big, small, rot = root_a, root_b, psi
         else:
-            big, small, rot_small = root_b, root_a, -psi
-        self._parent[small] = big
-        self._rot[small] = rot_small
+            big, small, rot = root_b, root_a, -psi
+        e = cmath.exp(1j * rot)
+        root, val = self._root, self._val
         moved = self._members.pop(small)
+        for ell in moved:
+            root[ell] = big
+            val[ell] *= e
         self._grown(big).extend(moved)
         return big, moved
 
@@ -349,15 +327,9 @@ def _member_sums(
     """The four bin sums g_k(ell) * value(ell) over ``mem``, added in member
     order, each value in the frame of its component's root."""
     a = b = c = dd = 0j
-    parent, rot, val = forest._parent, forest._rot, forest._val
+    val = forest._val
     for ell in mem:
-        p = parent[ell]
-        if p == ell:
-            v = val[ell]
-        elif parent[p] == p:  # find(ell) would not change a thing, see the module docstring
-            v = val[ell] * cmath.exp(1j * rot[ell])
-        else:
-            v = forest.value(ell)
+        v = val[ell]
         g = coeff_cache.get(ell) if coeff_cache is not None else None
         if g is None:
             g = modulation_coeffs(params, ell)
@@ -664,6 +636,15 @@ class _Engine:
         # one BinState for every visit, which ``bin_state`` points at the bin
         self.visit = BinState(0, (0.0, 0.0, 0.0, 0.0))
 
+    @property
+    def ball_count(self) -> int:
+        return self.forest.ball_count
+
+    @property
+    def components(self) -> dict[int, Sequence[int]]:
+        """Root -> members of every color class."""
+        return self.forest._members
+
     # -- helpers ------------------------------------------------------------
 
     def bins_of(self, ell: int) -> tuple[int, ...]:
@@ -745,7 +726,7 @@ class _Engine:
             process_mergeable(self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache)
 
     def largest_root(self) -> int | None:
-        return _largest(self.forest._members, lambda mem: mem)
+        return _largest(self.components, lambda mem: mem)
 
     def restrict_to_component(self, root: int) -> None:
         """Uncolor every ball outside ``root``'s component and forget its value."""
@@ -757,87 +738,70 @@ class _Engine:
         for ell, val in rest:
             self.color_ball(ell, val, first_ell)
 
-    def decoded_fully(self, K_hint: int, allow_merge: bool) -> bool:
-        """All balls colored, and (for the merging decoder) in one component."""
-        if self.forest.ball_count < K_hint:
-            return False
-        return not allow_merge or len(self.forest.roots()) == 1
-
-    def sweeps(self, K_hint: int, allow_merge: bool, max_sweeps: int) -> int:
-        """Repeated ascending passes over dirty bins; returns sweeps executed.
-
-        The single-color decoder is done once K balls are colored; the
-        merging decoder must keep sweeping until no change, since colors can
-        still combine after every ball is found.
-        """
+    def round(self, K_hint: int, allow_merge: bool) -> bool:
+        """One sweep: an ascending pass over the dirty bins that sees what
+        earlier bins of the same sweep colored. Returns whether anything
+        changed; the single-color decoder stops as soon as K balls are
+        colored, the merging one only merges once they are."""
         forest = self.forest
-        parent = forest._parent
+        root_of = forest._root
         # color_ball and the merges update these in place
         discovered, dirty, exhausted = self.discovered, self.dirty, self.exhausted
         in_visited_bin = self.visited_bin_test()
-        done = 0
-        while done < max_sweeps and not self.decoded_fully(K_hint, allow_merge):
-            done += 1
-            changed = False
-            for b0 in range(self.M):
-                if exhausted[b0] or not dirty[b0]:
-                    continue
-                dirty[b0] = 0
-                mem = discovered[b0]
-                if not mem:
-                    continue
-                roots = set()
-                for ell in mem:  # find(ell), skipped where it would be a no-op
-                    p = parent[ell]
-                    roots.add(p if parent[p] == p else forest.find(ell))
-                if len(roots) == 1:
-                    root = next(iter(roots))
-                    if forest.ball_count >= K_hint:
-                        continue  # nothing left to resolve, only merges remain
-                    self.stats.processor_calls += 1
-                    status, payload = _resolvable_full(
-                        self.bin_state(b0),
-                        forest,
-                        self.params,
-                        self.tol,
-                        membership=in_visited_bin,
-                        coeff_cache=self.coeff_cache,
-                        sums=_member_sums(mem, forest, self.params, self.coeff_cache),
-                    )
-                    if status == "exhausted":
-                        exhausted[b0] = 1
-                    elif status == "resolved":
-                        ell, x = payload
-                        self.color_ball(ell, x, root)
-                        changed = True
-                        if not allow_merge and forest.ball_count >= K_hint:
-                            return done
-                elif len(roots) == 2 and allow_merge:
-                    self.stats.processor_calls += 1
-                    ra, rb = roots
-                    # union pops the absorbed root's members unchanged
-                    mem_a, mem_b = forest.members(ra), forest.members(rb)
-                    psi = process_mergeable(
-                        self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache
-                    )
-                    if psi is not None:
-                        exhausted[b0] = 1
-                        self.revisit(mem_a if parent[ra] != ra else mem_b)
-                        changed = True
-            if not changed:
-                break
-        return done
+        changed = False
+        for b0 in range(self.M):
+            if exhausted[b0] or not dirty[b0]:
+                continue
+            dirty[b0] = 0
+            mem = discovered[b0]
+            if not mem:
+                continue
+            roots = {root_of[ell] for ell in mem}
+            if len(roots) == 1:
+                if forest.ball_count >= K_hint:
+                    continue  # nothing left to resolve, only merges remain
+                self.stats.processor_calls += 1
+                status, payload = _resolvable_full(
+                    self.bin_state(b0),
+                    forest,
+                    self.params,
+                    self.tol,
+                    membership=in_visited_bin,
+                    coeff_cache=self.coeff_cache,
+                    sums=_member_sums(mem, forest, self.params, self.coeff_cache),
+                )
+                if status == "exhausted":
+                    exhausted[b0] = 1
+                elif status == "resolved":
+                    ell, x = payload
+                    self.color_ball(ell, x, roots.pop())
+                    changed = True
+                    if not allow_merge and forest.ball_count >= K_hint:
+                        return True
+            elif len(roots) == 2 and allow_merge:
+                self.stats.processor_calls += 1
+                ra, rb = roots
+                # union pops the absorbed root's members unchanged
+                mem_a, mem_b = forest.members(ra), forest.members(rb)
+                psi = process_mergeable(
+                    self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache
+                )
+                if psi is not None:
+                    exhausted[b0] = 1
+                    self.revisit(mem_a if root_of[ra] != ra else mem_b)
+                    changed = True
+        return changed
 
     # -- results --------------------------------------------------------------
 
     def resident_elements(self) -> int:
-        """Per-bin state, discovered members and the forest, plus the caches:
-        4 weights per ``coeff_cache`` entry and a ball's key and bins per
-        ``bins`` entry."""
+        """Per-bin state, discovered members and the forest (a root, a value
+        and a member entry per ball), plus the caches: 4 weights per
+        ``coeff_cache`` entry and a ball's key and bins per ``bins`` entry."""
         return (
             5 * self.M
             + sum(len(d) for d in self.discovered)
-            + 4 * self.forest.ball_count
+            + 3 * self.forest.ball_count
             + 4 * len(self.coeff_cache)
             + sum(len(b) + 1 for b in self.bins.values())
         )
@@ -890,7 +854,7 @@ class _RoundEngine:
         self.g = np.zeros((slots, 4), dtype=np.complex128)
         self.gv = np.zeros((slots, 4), dtype=np.complex128)  # g * value, per ball
         self.bins = np.zeros((slots, 0), dtype=np.int64)
-        self.comp: dict[int, list[int]] = {}  # root slot -> member slots
+        self.components: dict[int, list[int]] = {}  # root slot -> member slots
         self.table = np.zeros((self.M, 8), dtype=np.int32)
         self.load = np.zeros(self.M, dtype=np.int64)
         self.dirty = np.zeros(self.M, dtype=bool)
@@ -936,7 +900,7 @@ class _RoundEngine:
         self.count = end
         self.colored.update(ells.tolist())
         for r, slot in zip(roots.tolist(), slots.tolist()):
-            self.comp.setdefault(r, []).append(slot)
+            self.components.setdefault(r, []).append(slot)
         # enter each ball in its bins, after the members already there
         flat = bins.ravel()
         entered = flat > 0
@@ -1055,20 +1019,6 @@ class _RoundEngine:
 
     # -- rounds ---------------------------------------------------------------
 
-    def decoded_fully(self, K_hint: int, allow_merge: bool) -> bool:
-        if self.ball_count < K_hint:
-            return False
-        return not allow_merge or len(self.comp) == 1
-
-    def sweeps(self, K_hint: int, allow_merge: bool, max_sweeps: int) -> int:
-        """Rounds until decoded, capped at ``max_sweeps``; returns rounds run."""
-        done = 0
-        while done < max_sweeps and not self.decoded_fully(K_hint, allow_merge):
-            done += 1
-            if not self.round(K_hint, allow_merge):
-                break
-        return done
-
     def round(self, K_hint: int, allow_merge: bool) -> bool:
         """One round: every dirty bin judged against the state at its start,
         then the verdicts applied. Returns whether anything changed."""
@@ -1140,7 +1090,7 @@ class _RoundEngine:
         component eagerly. A merge whose bin a ball joined this round, or one
         of whose roots an earlier merge of this round absorbed, waits for the
         next."""
-        comp = self.comp
+        comp = self.components
         moved, factors, targets, merged, waiting = [], [], [], [], []
         for b, r, q, angle in zip(bins0.tolist(), roots_r.tolist(), roots_b.tolist(), psi.tolist()):
             if joined[b] or r not in comp or q not in comp:
@@ -1189,10 +1139,10 @@ class _RoundEngine:
         )
 
     def result(self, K_hint: int, sweeps: int) -> DecodeResult:
-        root = _largest(self.comp, lambda mem: self.ell[mem])
+        root = _largest(self.components, lambda mem: self.ell[mem])
         recovered = []
         if root is not None:
-            mem = self.comp[root]
+            mem = self.components[root]
             mem = np.array(mem)[np.argsort(self.ell[mem])]
             recovered = list(zip(self.ell[mem].tolist(), self.val[mem].tolist()))
         self.stats.sweeps = sweeps
@@ -1200,15 +1150,28 @@ class _RoundEngine:
         return _result(recovered, K_hint, self.stats)
 
 
+def _grow(engine, K_hint: int, merge: bool, cap: int) -> int:
+    """The growth phase on either engine: rounds (sweeps on the scalar
+    engine) until K_hint balls are colored and, for the merging decoder, in
+    one component, until a round changes nothing, or until ``cap`` rounds
+    have run. Returns the rounds run."""
+    done = 0
+    while done < cap and (engine.ball_count < K_hint or merge and len(engine.components) > 1):
+        done += 1
+        if not engine.round(K_hint, merge):
+            break
+    return done
+
+
 def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow=None) -> DecodeResult:
     """Both decoders: ``merge`` keeps every singleton cluster and merges in
-    the sweeps; otherwise one doubleton pass seeds a single cluster. The
-    scalar ``engine`` seeds; ``grow`` (the round engine), when given, takes
-    the kept clusters over from it for the growth phase."""
+    the growth phase; otherwise one doubleton pass seeds a single cluster.
+    The scalar ``engine`` seeds; ``grow`` (the round engine), when given,
+    takes the kept clusters over from it for the growth phase."""
     if K_hint == 0:
         return engine.result(0, 0)
     engine.phase_singletons()
-    if engine.forest.ball_count == 0:
+    if engine.ball_count == 0:
         return engine.result(K_hint, 1)
     roots = engine.forest.roots()
     if not merge:
@@ -1219,7 +1182,7 @@ def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow
     elif not merge:
         engine.restrict_to_component(roots[0])
     cap = max_sweeps if max_sweeps is not None else K_hint + 2
-    done = engine.sweeps(K_hint, allow_merge=merge, max_sweeps=cap)
+    done = _grow(engine, K_hint, merge, cap)
     return engine.result(K_hint, (1 if merge else 2) + done)
 
 

@@ -71,32 +71,35 @@ def test_forest_members_tracking():
     assert len(forest.roots()) == 3
 
 
-def test_find_on_a_node_whose_parent_is_a_root_changes_nothing():
-    # The sweep and _member_sums skip find() on such nodes; the skip is safe
-    # only if every later value and compression comes out bit for bit the same.
-    def build(skip_free_finds: bool):
-        rng = np.random.default_rng(3)
-        forest = ColorForest()
-        for k in range(1, 41):
-            forest.add_root(k, random_value(rng))
-        for step in range(30):
-            a, b = (int(x) for x in rng.choice(np.arange(1, 41), 2, replace=False))
-            ra, rb = forest.find(a), forest.find(b)
-            if ra != rb:
-                psi = 0.0 if step % 7 == 0 else float(rng.uniform(-math.pi, math.pi))
-                forest.union(ra, rb, psi)  # psi = 0.0 can store a -0.0 rotation
-            if skip_free_finds:
-                for ell in range(1, 41):
-                    p = forest._parent[ell]
-                    if forest._parent[p] == p:
-                        forest.find(ell)
-        return forest
+def _bits(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
 
-    plain, extra = build(False), build(True)
-    for ell in range(1, 41):
-        assert plain.find(ell) == extra.find(ell)
-        assert repr(plain.value(ell)) == repr(extra.value(ell))
-        assert plain._rot[ell] == extra._rot[ell]
+
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 3), (2, 2), (1, 4)])
+def test_union_rotates_the_smaller_class_exactly(sizes):
+    rng = np.random.default_rng(sum(sizes) * 10 + sizes[0])
+    forest = ColorForest()
+    classes = []
+    for size in sizes:
+        start = forest.ball_count + 1
+        root = forest.add_root(start, random_value(rng))
+        for ell in range(start + 1, start + size):
+            forest.add_member(ell, random_value(rng), root)
+        classes.append(list(range(start, start + size)))
+    root_a, root_b = classes[0][0], classes[1][0]
+    before = {ell: forest.value(ell) for ell in range(1, forest.ball_count + 1)}
+    psi = float(rng.uniform(-math.pi, math.pi))
+    a_survives = sizes[0] >= sizes[1]  # a tie keeps root_a
+    new_root, moved = forest.union(root_a, root_b, psi)
+    assert new_root == (root_a if a_survives else root_b)
+    absorbed = classes[1] if a_survives else classes[0]
+    factor = cmath.exp(1j * psi) if a_survives else cmath.exp(-1j * psi)
+    assert list(moved) == absorbed
+    for ell, old in before.items():
+        want = old * factor if ell in absorbed else old
+        assert _bits(forest.value(ell)) == _bits(want), ell
+        assert forest.find(ell) == new_root
+    assert forest.roots() == [new_root]
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +474,8 @@ def test_resident_elements_counts_the_engine_caches():
     sig, ens, params, meas = _random_instance(123, K=50)
     engine = dec._Engine(meas, ens, params, dec.DEFAULT_TOL)
     engine.phase_singletons()
-    engine.sweeps(sig.k, allow_merge=True, max_sweeps=sig.k + 2)
-    state = 5 * ens.M + sum(map(len, engine.discovered)) + 4 * engine.forest.ball_count
+    dec._grow(engine, sig.k, merge=True, cap=sig.k + 2)
+    state = 5 * ens.M + sum(map(len, engine.discovered)) + 3 * engine.forest.ball_count
     caches = 4 * len(engine.coeff_cache) + (ens.d + 1) * len(engine.bins)
     assert len(engine.bins) >= engine.forest.ball_count > 0 and len(engine.coeff_cache) > 0
     assert engine.resident_elements() == state + caches
@@ -622,6 +625,47 @@ def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
             assert colored <= engine.bins.keys(), (label, alg)
     assert checked["calls"] > 1000
     assert checked["merges"] > 100  # multicolor merges, which re-root members
+
+
+def _lookup_timing_panel():
+    """(measurements, ensemble, K): the criterion-4 CRT code at n ~ 1.25e12,
+    where a last-bit difference can move a location, and the mask/lens
+    benchmark's Fourier-mode code."""
+    crt = build_crt([47, 49, 50, 53, 57, 59, 61])
+    for trial in range(20):
+        K = 107 + 7 * (trial % 10)
+        sig = generate_signal(crt.n, K, 700 + trial)
+        yield encode(sig, crt, ModulationParams.draw(crt.n, 1700 + trial)), crt, K
+    masklens = build_crt([7, 11, 13, 17, 19])
+    for trial in range(20):
+        spectrum = generate_signal(masklens.n, 12, 800 + trial)
+        yield ff_sparse_acquire_implicit(spectrum, masklens, 1800 + trial), masklens, 12
+
+
+def test_a_decode_does_not_depend_on_when_roots_are_looked_up(monkeypatch):
+    # every merge first looks up the root of every colored ball; a forest
+    # whose values depended on when find runs would decode differently
+    cases = list(_lookup_timing_panel())
+
+    def outcome(res):
+        return res.status, [(ell, _bits(v)) for ell, v in res.recovered]
+
+    plain = [outcome(get_decoder(alg)(m, e, m.params, K_hint=K)) for m, e, K in cases for alg in ALGORITHMS]
+    original = dec.process_mergeable
+    lookups = {"merges": 0}
+
+    def after_finding_every_root(bin, forest, *args, **kwargs):
+        for root in forest.roots():
+            for ell in forest.members(root):
+                forest.find(ell)
+        lookups["merges"] += 1
+        return original(bin, forest, *args, **kwargs)
+
+    monkeypatch.setattr(dec, "process_mergeable", after_finding_every_root)
+    looked_up = [outcome(get_decoder(alg)(m, e, m.params, K_hint=K)) for m, e, K in cases for alg in ALGORITHMS]
+    assert len(looked_up) == 80 and lookups["merges"] > 1000
+    for k, (got, want) in enumerate(zip(looked_up, plain)):
+        assert got == want, k
 
 
 def test_a_merge_revisits_the_bins_of_the_component_it_absorbed(monkeypatch):
