@@ -67,6 +67,20 @@ RESIDUAL_SANITY = 1e-6  # recovered values must match truth this well
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _number(text: str, what: str, kind=int):
+    """``text`` read as a ``kind`` (int or float); a ParameterError naming
+    ``what`` when it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
+
+
+def _ints(text: str, what: str) -> list[int]:
+    """Comma-separated integers, empty entries skipped."""
+    return [_number(v, what) for v in text.split(",") if v.strip()]
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 1_000_000
@@ -129,14 +143,15 @@ class ExperimentConfig:
                 key, value = key.strip(), value.strip()
                 if not hasattr(cfg, key):
                     raise ParameterError(f"unknown config key {key!r} in {path}")
+                what = f"{key} in {path}"
                 if key == "coprimes":
-                    setattr(cfg, key, tuple(int(v) for v in value.split(",") if v))
+                    setattr(cfg, key, tuple(_ints(value, what)))
                 elif key in ("c", "success_threshold"):
-                    setattr(cfg, key, float(value))
+                    setattr(cfg, key, _number(value, what, float))
                 elif key in ("ensemble", "algorithm", "value_model"):
                     setattr(cfg, key, value)
                 else:
-                    setattr(cfg, key, int(value))
+                    setattr(cfg, key, _number(value, what))
         return cfg
 
 
@@ -480,9 +495,9 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
 
 def _parse_d_spec(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",") if v]
+        lo, _, hi = text.partition("..")
+        return list(range(_number(lo, "--d"), _number(hi, "--d") + 1))
+    return _ints(text, "--d")
 
 
 def cmd_design(args) -> int:
@@ -511,7 +526,7 @@ def cmd_simulate(args) -> int:
         if val is not None:
             setattr(cfg, name, val)
     if args.coprimes:
-        cfg.coprimes = tuple(int(v) for v in args.coprimes.split(","))
+        cfg.coprimes = tuple(_ints(args.coprimes, "--coprimes"))
     summary = run_simulation(cfg)
     if args.dump_dir and summary.records:
         _dump_first_trial(cfg, args.dump_dir)
@@ -543,7 +558,7 @@ def _dump_first_trial(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    K_list = [int(v) for v in args.K_list.split(",")]
+    K_list = _ints(args.K_list, "--K-list")
     rows = run_bench(
         n=args.n,
         K_list=K_list,
@@ -570,7 +585,7 @@ def cmd_decode(args) -> int:
     meas = read_measurements(args.measurements, mode=args.mode)
     if args.ensemble == "balls" and None in (args.bins, args.d, args.ens_seed):
         raise ParameterError("balls ensemble needs --bins, --d and --ens-seed")
-    coprimes = tuple(int(v) for v in args.coprimes.split(",")) if args.coprimes else ()
+    coprimes = tuple(_ints(args.coprimes, "--coprimes")) if args.coprimes else ()
     ens = ExperimentConfig(
         n=meas.params.n, M=args.bins, d=args.d, ensemble=args.ensemble, coprimes=coprimes,
         alpha=args.alpha,
@@ -650,7 +665,7 @@ def _dump_nonsparse(x: np.ndarray, mode: str, prefix: str) -> None:
 
 
 def cmd_ff_verify(args) -> int:
-    n_list = [int(v) for v in args.n_list.split(",")] if args.n_list else None
+    n_list = _ints(args.n_list, "--n-list") if args.n_list else None
     t0 = time.perf_counter()
     results = run_ff_verify(n_list, checks_per_case=args.checks, seed=args.seed)
     ok = True
@@ -662,7 +677,7 @@ def cmd_ff_verify(args) -> int:
 
 
 def cmd_ff_sim(args) -> int:
-    coprimes = tuple(int(v) for v in args.coprimes.split(","))
+    coprimes = tuple(_ints(args.coprimes, "--coprimes"))
     ens = build_crt(coprimes, args.alpha)
     explicit = ens.n <= EXPLICIT_N_LIMIT
     ok_ff = ok_gen = 0
@@ -692,8 +707,8 @@ def cmd_ff_sim(args) -> int:
 
 
 def cmd_crt_compare(args) -> int:
-    coprimes = tuple(int(v) for v in args.coprimes.split(","))
-    K_list = [int(v) for v in args.K_list.split(",")]
+    coprimes = tuple(_ints(args.coprimes, "--coprimes"))
+    K_list = _ints(args.K_list, "--K-list")
     rows = run_crt_comparison(
         coprimes, K_list, args.trials, seed=args.seed, alpha=args.alpha,
         algorithm=args.algorithm, threads=args.threads,

@@ -83,6 +83,26 @@ def test_unknown_names_are_config_errors(tmp_path):
         assert main(["simulate", "--config", str(path)]) == 2
 
 
+MALFORMED_NUMBERS = {
+    "simulate config K=abc": ["simulate", "--config", "{config}"],
+    "simulate --coprimes 7,x": ["simulate", "--ensemble", "crt", "--coprimes", "7,x", "--K", "5", "--trials", "1"],
+    "bench --K-list 10,x": ["bench", "--K-list", "10,x"],
+    "design --d 4..x": ["design", "--d", "4..x"],
+    "ff-verify --n-list 60,x": ["ff-verify", "--n-list", "60,x"],
+    "crt-compare --K-list 5,x": ["crt-compare", "--coprimes", "7,9,11", "--K-list", "5,x"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_malformed_numbers_are_config_errors(case, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("n=1000\nK=abc\nc=3.5\ntrials=1\n")
+    argv = [arg.format(config=config) for arg in MALFORMED_NUMBERS[case]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and ("'x'" in err or "'abc'" in err), err
+
+
 def test_simulate_config_file_keeps_its_seed_and_trials(tmp_path):
     path, out = tmp_path / "run.cfg", tmp_path / "run.csv"
     path.write_text("n=20000\nK=20\nd=7\nc=3.5\ntrials=2\nseed=9\n")
