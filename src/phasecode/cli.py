@@ -9,6 +9,7 @@ Subcommands:
 * ``nonsparse`` round-trip self-tests of the deterministic dense schemes
 * ``ff-verify`` Fourier operator-identity property suites
 * ``ff-sim``    end-to-end sparse-spectrum mask/lens experiment
+* ``crt-compare`` paired CRT vs balls-and-bins recovery rates
 
 Every CSV output embeds its full configuration as leading ``# key=value``
 comment lines, and every randomized quantity derives from the master seed,
@@ -23,14 +24,15 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import analysis
 from .core import (
+    AlignmentError,
+    DecodeResult,
     ParameterError,
-    RecoveryStatus,
     SparseSignal,
     align_global_phase,
     generate_signal,
@@ -77,8 +79,11 @@ def _number(text: str, what: str, kind=int):
 
 
 def _ints(text: str, what: str) -> list[int]:
-    """Comma-separated integers, empty entries skipped."""
-    return [_number(v, what) for v in text.split(",") if v.strip()]
+    """Comma-separated integers, empty entries skipped; at least one."""
+    values = [_number(v, what) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ParameterError(f"{what}: no values in {text!r}")
+    return values
 
 
 @dataclass
@@ -220,16 +225,32 @@ def _trial_inputs(cfg: ExperimentConfig, trial: int):
     return sig_seed, signal, cfg.build_ensemble(ens_seed), ModulationParams.draw(cfg.n, mod_seed)
 
 
+def score_decode(
+    res: DecodeResult, truth: SparseSignal, threshold: float = 1.0
+) -> tuple[bool, float | None]:
+    """(success, residual) of a decode against the truth.
+
+    The residual is ``align_global_phase``'s, or None when nothing was
+    recovered or a recovered index lies outside the true support. A decode
+    succeeds when its recovered fraction reaches ``threshold`` and every
+    recovered value lies within ``RESIDUAL_SANITY`` of the truth; an index
+    off the support fails it."""
+    try:
+        residual = align_global_phase(res.recovered, truth) if res.recovered else None
+    except AlignmentError:
+        return False, None
+    ok = res.fraction_recovered >= threshold - 1e-12
+    return ok and (residual is None or residual <= RESIDUAL_SANITY), residual
+
+
 def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
+    """The one general-mode trial: draw, encode, decode, score."""
     sig_seed, signal, ens, params = _trial_inputs(cfg, trial)
     meas = encode(signal, ens, params)
     decode = get_decoder(cfg.algorithm)
     t0 = time.perf_counter()
     res = decode(meas, ens, params, K_hint=cfg.K)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    ok = res.fraction_recovered >= cfg.success_threshold - 1e-12
-    if ok and res.recovered:
-        ok = align_global_phase(res.recovered, signal) <= RESIDUAL_SANITY
     return TrialRecord(
         trial=trial,
         seed=sig_seed,
@@ -237,7 +258,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         fraction_recovered=res.fraction_recovered,
         sweeps=res.stats.sweeps,
         wall_time_ms=wall_ms,
-        success=bool(ok),
+        success=score_decode(res, signal, cfg.success_threshold)[0],
     )
 
 
@@ -304,15 +325,12 @@ def run_bench(
     rows = []
     decode = get_decoder(algorithm)
     for K in K_list:
-        M = math.ceil(c * K)
+        cfg = ExperimentConfig(n=n, K=K, d=d, M=math.ceil(c * K), seed=mix64(seed, K))
         times = []
         resident = 0
         fractions = []
         for t in range(trials):
-            sig_seed, ens_seed, mod_seed = _trial_seeds(mix64(seed, K), t)
-            signal = generate_signal(n, K, sig_seed)
-            ens = build_balls_and_bins(n, M, d, ens_seed)
-            params = ModulationParams.draw(n, mod_seed)
+            _, signal, ens, params = _trial_inputs(cfg, t)
             meas = encode(signal, ens, params)
             # a full collection owed to earlier work would land in the timing
             gc.collect()
@@ -344,21 +362,6 @@ class ComparisonRow:
     gap: float
 
 
-def _comparison_trial(args) -> tuple[bool, bool]:
-    coprimes, alpha, K, trial, seed, algorithm = args
-    crt = build_crt(coprimes, alpha)
-    decode = get_decoder(algorithm)
-    sig_seed, ens_seed, mod_seed = _trial_seeds(mix64(seed, K), trial)
-    signal = generate_signal(crt.n, K, sig_seed)
-    params = ModulationParams.draw(crt.n, mod_seed)
-    res = decode(encode(signal, crt, params), crt, params, K_hint=K)
-    ok_crt = res.status == RecoveryStatus.FULL_RECOVERY
-    balls = build_balls_and_bins(crt.n, crt.M, crt.d, ens_seed)
-    res = decode(encode(signal, balls, params), balls, params, K_hint=K)
-    ok_balls = res.status == RecoveryStatus.FULL_RECOVERY
-    return ok_crt, ok_balls
-
-
 def run_crt_comparison(
     coprimes,
     K_list: list[int],
@@ -368,22 +371,19 @@ def run_crt_comparison(
     algorithm: str = "unicolor",
     threads: int = 1,
 ) -> list[ComparisonRow]:
-    """Paired success rates: the same signals and modulation draws decoded
+    """Paired success rates: per K, two simulations on the master seed
+    mix64(seed, K), so the same signals and modulation draws are decoded
     under the CRT ensemble and under fresh balls-and-bins ensembles with the
-    same (n, M, d). Success means full recovery."""
-    coprimes = tuple(coprimes)
-    get_decoder(algorithm)  # reject an unknown name before any work
+    same (n, M, d). Success means every ball recovered with its value."""
     rows = []
     for K in K_list:
-        tasks = [(coprimes, alpha, K, t, seed, algorithm) for t in range(trials)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(_comparison_trial, tasks, chunksize=16))
-        else:
-            outcomes = [_comparison_trial(t) for t in tasks]
-        ok_crt = sum(a for a, _ in outcomes)
-        ok_balls = sum(b for _, b in outcomes)
-        rc, rb = ok_crt / trials, ok_balls / trials
+        crt = ExperimentConfig(
+            K=K, ensemble="crt", coprimes=tuple(coprimes), alpha=alpha, algorithm=algorithm,
+            trials=trials, seed=mix64(seed, K), success_threshold=1.0, threads=threads,
+        )
+        rc = run_simulation(crt).successes / trials
+        # run_simulation resolved crt's n, M and d to the CRT code's
+        rb = run_simulation(replace(crt, ensemble="balls")).successes / trials
         rows.append(ComparisonRow(K=K, rate_crt=rc, rate_balls=rb, gap=abs(rc - rb)))
     return rows
 
@@ -496,7 +496,10 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
 def _parse_d_spec(text: str) -> list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(_number(lo, "--d"), _number(hi, "--d") + 1))
+        lo, hi = _number(lo, "--d"), _number(hi, "--d")
+        if hi < lo:
+            raise ParameterError(f"--d: empty range {text!r}")
+        return list(range(lo, hi + 1))
     return _ints(text, "--d")
 
 
@@ -527,6 +530,8 @@ def cmd_simulate(args) -> int:
             setattr(cfg, name, val)
     if args.coprimes:
         cfg.coprimes = tuple(_ints(args.coprimes, "--coprimes"))
+    if cfg.trials < 1:  # the flag is checked in main, a config file's value here
+        raise ParameterError(f"trials must be at least 1, got {cfg.trials}")
     summary = run_simulation(cfg)
     if args.dump_dir and summary.records:
         _dump_first_trial(cfg, args.dump_dir)
@@ -608,8 +613,8 @@ def cmd_decode(args) -> int:
         "fraction_recovered": res.fraction_recovered,
         "wall_time_ms": wall_ms,
     }
-    if signal is not None and res.recovered:
-        status["residual"] = align_global_phase(res.recovered, signal)
+    if signal is not None:
+        status["residual"] = score_decode(res, signal)[1]
     print(json.dumps(status))
     return 0
 
@@ -680,7 +685,7 @@ def cmd_ff_sim(args) -> int:
     coprimes = tuple(_ints(args.coprimes, "--coprimes"))
     ens = build_crt(coprimes, args.alpha)
     explicit = ens.n <= EXPLICIT_N_LIMIT
-    ok_ff = ok_gen = 0
+    ok_ff = 0
     for t in range(args.trials):
         sig_seed, _, mod_seed = _trial_seeds(args.seed, t)
         sig = generate_signal(ens.n, args.K, sig_seed)
@@ -690,18 +695,18 @@ def cmd_ff_sim(args) -> int:
         else:
             meas = ff_sparse_acquire_implicit(sig, ens, mod_seed)
         res = ff_sparse_decode(meas, ens, K_hint=args.K, algorithm=args.algorithm)
-        ok_ff += res.status == RecoveryStatus.FULL_RECOVERY
-        if args.paired:
-            params = ModulationParams.draw(ens.n, mod_seed)
-            res = get_decoder(args.algorithm)(encode(sig, ens, params), ens, params, K_hint=args.K)
-            ok_gen += res.status == RecoveryStatus.FULL_RECOVERY
+        ok_ff += score_decode(res, sig)[0]
     line = (
         f"coprimes={args.coprimes} n={ens.n} M={ens.M} K={args.K} "
         f"acquisition={'explicit' if explicit else 'implicit'} "
         f"ff_rate={ok_ff / args.trials:.4f}"
     )
     if args.paired:
-        line += f" general_rate={ok_gen / args.trials:.4f}"
+        general = run_simulation(ExperimentConfig(
+            K=args.K, ensemble="crt", coprimes=coprimes, alpha=args.alpha,
+            algorithm=args.algorithm, trials=args.trials, seed=args.seed, success_threshold=1.0,
+        ))
+        line += f" general_rate={general.successes / args.trials:.4f}"
     print(line)
     return 0
 
@@ -822,6 +827,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        trials = getattr(args, "trials", None)
+        if trials is not None and trials < 1:
+            raise ParameterError(f"--trials must be at least 1, got {trials}")
         return args.func(args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,24 +13,29 @@ Two engines carry the growth phase, chosen by the code's size. The scalar
 and, below ``ROUND_ENGINE_MIN_BINS`` bins, also grows. From that size on,
 ``_RoundEngine`` takes the kept components over (for Unicolor the largest
 one, as the restrict would keep) and grows them. Median decode ms, seeding
-included (seeded decodes, one process on an otherwise idle 2-core VM;
-M = 67 is the Fourier-mode mask/lens code at K = 12, M = 376 the
-criterion-4 CRT code at K = 140, the rest balls-and-bins with d = 7 at
-K = 293, 1000 and 4000):
+included, with the engine forced either way and the two engines timed
+decode by decode in alternating order (7 repetitions, one process on a
+2-core VM; M = 67 is the Fourier-mode mask/lens code at K = 12 over 64
+signals, M = 376 the criterion-4 CRT code at K = 140 over 40, M = 3320
+balls-and-bins at n = 1e6, K = 1000 over 4, and M = 14000 balls-and-bins
+at n = 1e10, K = 4000 over 2, both with d = 7):
 
     M        unicolor scalar / round    multicolor scalar / round
-    67            0.81 /   1.81              0.54 /   1.48
-    376          12.0  /   7.2              10.1  /   6.6
-    1024         27.0  /  11.9              21.7  /  13.1
-    2750        147    /  40.2             108    /  37.1
-    14000       552    / 151               425    / 182
+    67            1.12 /   3.15              0.84 /   2.64
+    376          12.8  /   8.1               9.5  /   8.4
+    3320         93    /  36                50    /  25
+    14000       405    / 116               291    / 128
 
 A round costs about 0.9 ms of numpy calls whatever its size, so rounds lose
-on the smallest codes and win from a few hundred bins on. The constant sits
-above the crossover, so every code the reference panel and criterion 4 pin
-(M <= 376) keeps the scalar engine; at M = 1024 the round engine is already
-1.7-2.3x faster. The scalar engine and the scalar processors are also the
-reference the round engine is tested against.
+on the smallest codes and win from a few hundred bins on. The median of
+each decode's round / scalar time ratio is 2.7 (unicolor) and 3.0
+(multicolor) at M = 67 and 0.91 and 0.86 at M = 376, so both decoders cross
+over between those sizes (M = 376's unicolor medians mix full and partial
+decodes). The constant sits above the crossover so that every code the
+reference panel and criterion 4 pin (M <= 376) keeps the scalar engine byte
+for byte; that, not speed, holds it at 1024. The scalar engine and the
+scalar processors are also the reference the round engine is tested
+against.
 
 The scalar engine peels in place: it sweeps the bins in order, one Python
 call per visit, so a bin sees what earlier bins of the same sweep colored.
@@ -38,16 +43,20 @@ Accepted balls live in a ``ColorForest``, where each ball holds its class's
 root and its value in the root's frame. A merge rotates the smaller class's
 values by the relative phase the two-color bin yields, as the paper's merge
 step rotates a whole color class, so a value never depends on when it is
-read. Each ball's bins are computed once per decode (``bins``), and a visit
-re-sums its bin's members in member order, with each member's four weights
-computed once per decode (``coeff_cache``). The judges compute only the
-weights they test: the singleton judge the cosine weight g3 of each location
-candidate, the resolvable judge g1, g2 and g3 of each candidate and the
-check weight only for a candidate that rows 1-3 accept. A candidate enters
-``coeff_cache`` only once it has passed every test, so the cache holds
-colored balls (and the rare hit a bin rejects as ambiguous), not every index
-ever tried. The engine hands every visit the same ``BinState``, re-pointed
-at the bin.
+read. Each ball's bins are computed once per decode (``bins``), for every
+candidate the membership test asks about, colored or not: an alias is asked
+about again from each of its ball's d bins, and a bin that does not resolve
+asks about the same candidates at every revisit, so caching only colored
+balls doubled the ``ensemble.bins_of`` calls on the mask/lens code and made
+its decodes slower. A visit re-sums its bin's members in member order, with
+each member's four weights computed once per decode (``coeff_cache``). The
+judges compute only the weights they test: the singleton judge the cosine
+weight g3 of each location candidate, the resolvable judge g1, g2 and g3 of
+each candidate and the check weight only for a candidate that rows 1-3
+accept. A candidate enters ``coeff_cache`` only once it has passed every
+test, so the cache holds colored balls (and the rare hit a bin rejects as
+ambiguous), not every index ever tried. The engine hands every visit the
+same ``BinState``, re-pointed at the bin.
 
 The round engine runs the parallel rounds that density evolution models.
 Its state is numpy arrays: per ball its index, its value in the frame of its
@@ -435,6 +444,28 @@ def process_mergeable(
     return psi
 
 
+def _one_unknown_quadratic(z, zb_a, c, kk):
+    """Coefficients (qa, qb, qc) of the quadratic in u = cos^2(omega*ell)
+    whose roots place one unknown ball on top of a bin's known members.
+
+    With a, b and c the members' sums in rows 1-3, ``z`` is the ratio y1/y2
+    rotated by either sign of the angle between rows 1 and 2, ``zb_a`` is
+    z*b - a and ``kk`` is (y3/|c|)**2. Squaring k5 cos^2 + k6 sin^2 =
+    k7 sin cos with sin^2 = 1 - cos^2 gives the quadratic. Built only from
+    operators, so that it serves Python numbers (the scalar judge) and numpy
+    arrays (the round engine) alike; ``** 2`` stays, since Python's float
+    power is libm ``pow``, which can differ from ``x * x`` in the last bit."""
+    k1 = 1.0 - z + 2.0 * zb_a / c
+    k2 = 1.0 + z
+    k3 = 1.0 - z
+    k5 = abs(k1) ** 2 - kk * abs(k3) ** 2
+    k6 = abs(k2) ** 2 * (1.0 - kk)
+    k7 = 2.0 * (k2.conjugate() * (kk * k3 - k1)).imag
+    qa = (k5 - k6) ** 2 + k7 * k7
+    qb = 2.0 * k6 * (k5 - k6) - k7 * k7
+    return qa, qb, k6 * k6
+
+
 def _resolvable_full(
     bin: BinState,
     forest: ColorForest,
@@ -484,6 +515,7 @@ def _resolvable_full(
         return "none", None
     alpha0 = math.acos(min(max(carg, -1.0), 1.0))
     k4 = y3 / abs(c)
+    kk = k4 * k4
     omega = params.omega
     fourier = params.mode == FOURIER
     colored = forest._val
@@ -491,17 +523,7 @@ def _resolvable_full(
     for sign in (1.0, -1.0):
         z = (y1 / y2) * cmath.exp(1j * sign * alpha0)
         zb_a = z * b - a
-        k1 = 1.0 - z + 2.0 * zb_a / c
-        k2 = 1.0 + z
-        k3 = 1.0 - z
-        k5 = abs(k1) ** 2 - k4 * k4 * abs(k3) ** 2
-        k6 = abs(k2) ** 2 * (1.0 - k4 * k4)
-        k7 = 2.0 * (k2.conjugate() * (k4 * k4 * k3 - k1)).imag
-        # squaring k5 cos^2 + k6 sin^2 = k7 sin cos with sin^2 = 1 - cos^2
-        # gives a quadratic in u = cos^2(omega*ell)
-        qa = (k5 - k6) ** 2 + k7 * k7
-        qb = 2.0 * k6 * (k5 - k6) - k7 * k7
-        qc = k6 * k6
+        qa, qb, qc = _one_unknown_quadratic(z, zb_a, c, kk)
         if qa <= 0.0:
             continue
         disc = qb * qb - 4.0 * qa * qc
@@ -936,15 +958,7 @@ class _RoundEngine:
         a, b, c = sums[p, 0], sums[p, 1], sums[p, 2]
         z = self.z[:, B[p]]  # rows: both signs of alpha0
         with np.errstate(divide="ignore", invalid="ignore"):
-            k1 = 1.0 - z + 2.0 * (z * b - a) / c
-            k2 = 1.0 + z
-            k3 = 1.0 - z
-            k5 = np.abs(k1) ** 2 - kk * np.abs(k3) ** 2
-            k6 = np.abs(k2) ** 2 * (1.0 - kk)
-            k7 = 2.0 * (np.conj(k2) * (kk * k3 - k1)).imag
-            qa = (k5 - k6) ** 2 + k7 * k7
-            qb = 2.0 * k6 * (k5 - k6) - k7 * k7
-            qc = k6 * k6
+            qa, qb, qc = _one_unknown_quadratic(z, z * b - a, c, kk)
             disc = qb * qb - 4.0 * qa * qc
             ok = (qa > 0.0) & (disc >= -tol * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
             # axes: sign, root of the quadratic (+sqrt first), bin

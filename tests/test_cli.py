@@ -103,6 +103,34 @@ def test_malformed_numbers_are_config_errors(case, tmp_path, capsys):
     assert err.startswith("config error") and ("'x'" in err or "'abc'" in err), err
 
 
+MALFORMED_COUNTS = {
+    "simulate --trials 0": ["simulate", "--n", "1000", "--K", "10", "--c", "3.5", "--trials", "0"],
+    "simulate config trials=0": ["simulate", "--config", "{config}"],
+    "bench --trials 0": ["bench", "--K-list", "10", "--trials", "0"],
+    "crt-compare --trials 0": ["crt-compare", "--coprimes", "7,9,11", "--K-list", "5", "--trials", "0"],
+    "crt-compare --trials -2": ["crt-compare", "--coprimes", "7,9,11", "--K-list", "5", "--trials", "-2"],
+    "ff-sim --trials 0": ["ff-sim", "--coprimes", "7,11,13", "--K", "2", "--trials", "0"],
+    "ff-sim --trials -1": ["ff-sim", "--coprimes", "7,11,13", "--K", "2", "--trials", "-1"],
+    "nonsparse --trials 0": ["nonsparse", "--trials", "0"],
+    "bench --K-list ,": ["bench", "--K-list", ","],
+    "crt-compare --K-list ,": ["crt-compare", "--coprimes", "7,9,11", "--K-list", ","],
+    "ff-verify --n-list ,": ["ff-verify", "--n-list", ","],
+    "design --d 10..4": ["design", "--d", "10..4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
+def test_malformed_counts_are_config_errors(case, tmp_path, capsys):
+    # a trial count below 1, an empty list or a reversed range is refused
+    # before any work, never run as zero trials or the default sizes
+    config = tmp_path / "zero.cfg"
+    config.write_text("n=1000\nK=10\nc=3.5\ntrials=0\n")
+    assert main([arg.format(config=config) for arg in MALFORMED_COUNTS[case]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error"), captured.err
+    assert captured.out == ""
+
+
 def test_simulate_config_file_keeps_its_seed_and_trials(tmp_path):
     path, out = tmp_path / "run.cfg", tmp_path / "run.csv"
     path.write_text("n=20000\nK=20\nd=7\nc=3.5\ntrials=2\nseed=9\n")
@@ -133,6 +161,71 @@ def test_simulation_deterministic_and_thread_invariant():
     assert strip(a.records) == strip(b.records)
     c = run_simulation(ExperimentConfig(**base, threads=2))
     assert strip(c.records) == strip(a.records)
+
+
+def test_a_recovered_index_off_the_support_is_a_failed_trial(monkeypatch):
+    # a decoder that reports one ball at a wrong index gives a failed trial,
+    # not an AlignmentError that aborts the simulation
+    import phasecode.cli as cli_module
+
+    real = cli_module.get_decoder
+
+    def off_support(name):
+        decode = real(name)
+
+        def wrapped(*args, **kwargs):
+            res = decode(*args, **kwargs)
+            taken = {ell for ell, _ in res.recovered}
+            ell, v = res.recovered[0]
+            while ell in taken:
+                ell += 1
+            res.recovered[0] = (ell, v)
+            return res
+
+        return wrapped
+
+    base = dict(n=20_000, K=60, d=7, c=3.4, trials=4, seed=42)
+    honest = run_simulation(ExperimentConfig(**base))
+    assert honest.successes == 4
+    monkeypatch.setattr(cli_module, "get_decoder", off_support)
+    summary = run_simulation(ExperimentConfig(**base))
+    assert [r.status for r in summary.records] == [r.status for r in honest.records]
+    assert summary.successes == 0
+    assert summary.error_probability == 1.0
+
+
+def test_crt_comparison_rates_are_paired_counts_of_true_recoveries():
+    # the rates count decodes that recover every ball with its value, on the
+    # signals and modulations of master seed mix64(seed, K), trial t
+    from phasecode.core import RecoveryStatus, align_global_phase, generate_signal, mix64
+    from phasecode.decoder import decode_unicolor
+    from phasecode.ensemble import build_balls_and_bins, build_crt
+    from phasecode.measurement import ModulationParams, encode
+
+    coprimes, K_list, trials, seed = (47, 49, 50, 53, 57, 59, 61), [121, 142, 163], 40, 7
+    crt = build_crt(coprimes)
+    rows = run_crt_comparison(coprimes, K_list, trials=trials, seed=seed)
+    for row, K in zip(rows, K_list):
+        counts, master = [0, 0], mix64(seed, K)
+        for t in range(trials):
+            signal = generate_signal(crt.n, K, mix64(master, t, 0))
+            params = ModulationParams.draw(crt.n, mix64(master, t, 2))
+            balls = build_balls_and_bins(crt.n, crt.M, crt.d, mix64(master, t, 1))
+            for i, ens in enumerate((crt, balls)):
+                res = decode_unicolor(encode(signal, ens, params), ens, params, K_hint=K)
+                counts[i] += (
+                    res.status == RecoveryStatus.FULL_RECOVERY
+                    and {ell for ell, _ in res.recovered} == set(signal.value_map())
+                    and align_global_phase(res.recovered, signal) <= 1e-6
+                )
+        assert (row.K, row.rate_crt, row.rate_balls) == (K, counts[0] / trials, counts[1] / trials)
+    assert 0.0 < rows[-1].rate_crt < rows[0].rate_crt < 1.0
+
+
+def test_ff_sim_pairs_fourier_and_general_rates(capsys):
+    assert main(["ff-sim", "--coprimes", "7,11,13,17,19", "--K", "12", "--trials", "60",
+                 "--paired", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.split()[-2:] == ["ff_rate=0.8000", "general_rate=0.8167"]
 
 
 def test_simulate_csv_reproducible(tmp_path):
@@ -192,6 +285,30 @@ def test_decode_subcommand_round_trip(tmp_path, capsys):
     assert len(rec.read_text().splitlines()) == 40
 
 
+def test_decode_against_another_signal_reports_no_residual(tmp_path, capsys):
+    # a truth file whose support the recovered indices miss has no residual
+    for seed in (5, 6):
+        assert main([
+            "simulate", "--n", "30000", "--K", "40", "--d", "7", "--c", "3.5",
+            "--trials", "1", "--seed", str(seed), "--dump-dir", str(tmp_path / str(seed)),
+            "--out", str(tmp_path / "sim.csv"),
+        ]) == 0
+    capsys.readouterr()
+    from phasecode.core import mix64
+
+    code = main([
+        "decode", "--signal", str(tmp_path / "6" / "trial0.signal"),
+        "--measurements", str(tmp_path / "5" / "trial0.meas"),
+        "--ensemble", "balls", "--bins", "140", "--d", "7",
+        "--ens-seed", str(mix64(5, 0, 1)), "--out", str(tmp_path / "rec.txt"),
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    status = json.loads(lines[0])
+    assert status["status"] == "FullRecovery" and status["residual"] is None
+
+
 def test_decode_rejects_malformed_measurements_via_subprocess(tmp_path):
     meas = tmp_path / "y.txt"
     meas.write_text("2 300 7\n1.0 1.0 0.5 1.0\n1.0 nan 0.5 1.0\n")  # a nan magnitude on line 3
@@ -208,6 +325,11 @@ def test_bench_runs_small(tmp_path):
     assert [r.K for r in rows] == [100, 200]
     assert all(r.mean_decode_ms > 0 for r in rows)
     assert rows[1].resident_elements > rows[0].resident_elements
+
+
+def test_bench_state_at_n_1e10():
+    rows = run_bench(n=10_000_000_000, K_list=[300, 600], trials=2, seed=11)
+    assert [(r.resident_elements, r.fraction_recovered) for r in rows] == [(13350, 1.0), (26700, 1.0)]
 
 
 def test_bench_trivial_sparsity_is_instant():
