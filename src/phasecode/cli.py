@@ -610,6 +610,7 @@ def cmd_decode(args) -> int:
     status = {
         "status": res.status.value,
         "iterations": res.stats.sweeps,
+        "unexplained_bins": res.stats.unexplained_bins,
         "fraction_recovered": res.fraction_recovered,
         "wall_time_ms": wall_ms,
     }

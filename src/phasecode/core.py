@@ -139,11 +139,14 @@ class DecodeResult:
 
 @dataclass
 class DecodeStats:
-    """Work/memory instrumentation, all O(K); ``sweeps`` includes the seeding phases."""
+    """Work/memory instrumentation, all O(K); ``sweeps`` includes the seeding
+    phases. ``unexplained_bins`` counts the bins the reported component leaves
+    unexplained (see ``decoder._result``): 0 exactly on FullRecovery."""
 
     sweeps: int = 0
     processor_calls: int = 0
     resident_elements: int = 0
+    unexplained_bins: int = 0
 
 
 # ---------------------------------------------------------------------------

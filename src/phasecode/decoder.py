@@ -72,10 +72,9 @@ batch. A round
   ``bins_many``, for one-color bins; the cosine-law merge for two-color bins;
 - colors the resolved balls in bin order, each in its bin's component. A
   ball found through two bins keeps the lowest bin's value; a verdict whose
-  bin received another ball earlier in the round waits for the next round,
-  as does every ball beyond ``K_hint``. A bin that lost a verdict to an alias
-  is judged again once the alias is colored, since colored candidates are
-  skipped;
+  bin received another ball earlier in the round waits for the next round.
+  A bin that lost a verdict to an alias is judged again once the alias is
+  colored, since colored candidates are skipped;
 - then merges, best-conditioned verdict first, rotating the smaller
   component's values. A merge whose bin received a ball this round, or one
   of whose roots an earlier merge of this round absorbed, waits for the next
@@ -93,14 +92,28 @@ K = 1000 -> 2000 time ratio fell to the floor of its band (median 1.62 over
 scalar engine's did.
 
 ``_grow`` runs the growth phase on either engine, one ``round`` at a time
-(a sweep on the scalar engine), until the decode is done or a round changes
-nothing. The ``sweeps`` statistic counts rounds, and ``max_sweeps`` caps
-them. A sweep sees the bins it has already updated, a round does not, so a
-decode needs more rounds than sweeps: at n = 1e10, K = 4000 the ``sweeps``
-statistic (seeding included) is 11 to 13 for Unicolor where the scalar
-engine reports 7 or 8, and 7 for Multicolor where it reports 3. Supports
-equal the scalar engine's up to the ill-conditioned locations of very large
-n; values differ in the last bits.
+(a sweep on the scalar engine), until a round changes nothing. That round
+always comes: each round that changes something colors a new index or joins
+two components. ``max_sweeps``, when given, caps the rounds. The ``sweeps``
+statistic counts the seeding phases and the rounds, the last, confirming
+one included. A sweep sees the bins it has already updated, a round does
+not, so a decode needs more rounds than sweeps: over four signals at
+n = 1e10, K = 4000 the ``sweeps`` statistic is 11 to 14 for Unicolor where
+the scalar engine reports 7 or 8, and 8 for Multicolor where it reports 4.
+Supports equal the scalar engine's up to the ill-conditioned locations of
+very large n; values differ in the last bits.
+
+The decode is graded on what it observed, by one rule for both engines
+(``_result``). The judges mark a bin exhausted when its members reproduce
+its four measurements: the resolvable judge directly, and the singleton
+judge, a resolving bin and a two-color merge as they verify it; a ball
+joining the bin clears the mark. A bin is lit when its largest measurement
+exceeds ``tol`` times the largest of the set (explicit mask/lens acquisition
+leaves about 1e-16 in empty bins). FullRecovery means that one component
+holds every colored ball and every lit bin is exhausted, Failure that
+nothing was recovered, PartialRecovery anything else; ``unexplained_bins``
+counts the bins that keep a decode from FullRecovery. ``K_hint`` neither
+stops nor grades a decode: it only scales ``fraction_recovered``.
 """
 from __future__ import annotations
 
@@ -607,21 +620,31 @@ def _largest(components: dict[int, list], index_of: Callable[[list], list[int]])
     return min(tied, key=lambda root: min(index_of(components[root])))
 
 
-def _result(recovered: list, K_hint: int, stats: DecodeStats) -> DecodeResult:
-    if K_hint > 0:
-        fraction = len(recovered) / K_hint
-    else:
-        fraction = 1.0
-    if not recovered and K_hint > 0:
-        status = RecoveryStatus.FAILURE
-    elif len(recovered) >= K_hint:
+def _result(engine, K_hint: int, sweeps: int) -> DecodeResult:
+    """The decode's outcome on either engine, graded by one rule. A bin is
+    lit when its largest measurement exceeds ``tol`` times the largest of
+    the set. The reported component leaves a bin unexplained when the bin is
+    lit and no judge has marked it exhausted, or when it holds a ball of
+    another component. FullRecovery means no bin is left unexplained,
+    Failure that nothing was recovered, PartialRecovery anything else;
+    ``K_hint`` only scales ``fraction_recovered``."""
+    recovered, foreign = engine.reported()
+    stats = engine.stats
+    stats.sweeps = sweeps
+    stats.resident_elements = engine.resident_elements()
+    scale = engine.y.max(axis=1, initial=0.0)
+    unexplained = (scale > engine.tol * scale.max(initial=0.0)) & ~np.frombuffer(engine.exhausted, dtype=bool)
+    stats.unexplained_bins = int(np.count_nonzero(unexplained | foreign))
+    if stats.unexplained_bins == 0:
         status = RecoveryStatus.FULL_RECOVERY
+    elif not recovered:
+        status = RecoveryStatus.FAILURE
     else:
         status = RecoveryStatus.PARTIAL_RECOVERY
     return DecodeResult(
         recovered=recovered,
         status=status,
-        fraction_recovered=fraction,
+        fraction_recovered=len(recovered) / K_hint if K_hint > 0 else 1.0,
         stats=stats,
     )
 
@@ -636,7 +659,7 @@ class _Engine:
             raise ParameterError(
                 f"bin count mismatch: measurements M={meas.M}, ensemble M={ensemble.M}"
             )
-        self.meas = meas
+        self.y = meas.y
         self.ensemble = ensemble
         self.params = params
         self.tol = tol
@@ -713,7 +736,7 @@ class _Engine:
     # -- phases ---------------------------------------------------------------
 
     def phase_singletons(self) -> None:
-        y = self.meas.y
+        y = self.y
         y1 = y[:, 0]
         tol = self.tol
         candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= tol * y1) & (
@@ -729,9 +752,10 @@ class _Engine:
             if hit is None:
                 continue
             ell, mag = hit
-            if forest.has(ell):
-                continue  # already found through another of its bins
-            self.color_ball(ell, complex(mag), None)
+            if not forest.has(ell):  # else found through another of its bins already
+                self.color_ball(ell, complex(mag), None)
+            if self.discovered[b0] == (ell,):
+                self.exhausted[b0] = 1  # the judge has just verified that the bin holds ell alone
 
     def phase_doubletons(self) -> None:
         """Unicolor step 2: merge across bins holding two singleton-found balls
@@ -751,20 +775,23 @@ class _Engine:
         return _largest(self.components, lambda mem: mem)
 
     def restrict_to_component(self, root: int) -> None:
-        """Uncolor every ball outside ``root``'s component and forget its value."""
+        """Uncolor every ball outside ``root``'s component and forget its value.
+        Only singleton bins are marked exhausted while seeding, so a mark
+        stands where its ball survives."""
         survivors = self.forest.component_items(root)
+        settled = bytes(self.exhausted)
         self.forest = ColorForest()
         self.discovered = [()] * self.M
         (first_ell, first_val), rest = survivors[0], survivors[1:]
         self.color_ball(first_ell, first_val, None)
         for ell, val in rest:
             self.color_ball(ell, val, first_ell)
+        self.exhausted = bytearray(s and mem != () for s, mem in zip(settled, self.discovered))
 
-    def round(self, K_hint: int, allow_merge: bool) -> bool:
+    def round(self, allow_merge: bool) -> bool:
         """One sweep: an ascending pass over the dirty bins that sees what
         earlier bins of the same sweep colored. Returns whether anything
-        changed; the single-color decoder stops as soon as K balls are
-        colored, the merging one only merges once they are."""
+        changed."""
         forest = self.forest
         root_of = forest._root
         # color_ball and the merges update these in place
@@ -780,8 +807,6 @@ class _Engine:
                 continue
             roots = {root_of[ell] for ell in mem}
             if len(roots) == 1:
-                if forest.ball_count >= K_hint:
-                    continue  # nothing left to resolve, only merges remain
                 self.stats.processor_calls += 1
                 status, payload = _resolvable_full(
                     self.bin_state(b0),
@@ -797,9 +822,8 @@ class _Engine:
                 elif status == "resolved":
                     ell, x = payload
                     self.color_ball(ell, x, roots.pop())
+                    exhausted[b0] = 1  # the members and ell reproduce the bin
                     changed = True
-                    if not allow_merge and forest.ball_count >= K_hint:
-                        return True
             elif len(roots) == 2 and allow_merge:
                 self.stats.processor_calls += 1
                 ra, rb = roots
@@ -828,12 +852,15 @@ class _Engine:
             + sum(len(b) + 1 for b in self.bins.values())
         )
 
-    def result(self, K_hint: int, sweeps: int) -> DecodeResult:
+    def reported(self) -> tuple[list, np.ndarray]:
+        """The largest component's balls by index, and a mask of the bins
+        that hold a ball of another component."""
         root = self.largest_root()
         recovered = [] if root is None else sorted(self.forest.component_items(root))
-        self.stats.sweeps = sweeps
-        self.stats.resident_elements = self.resident_elements()
-        return _result(recovered, K_hint, self.stats)
+        others = [ell for r, mem in self.components.items() if r != root for ell in mem]
+        foreign = np.zeros(self.M, dtype=bool)
+        foreign[[b - 1 for ell in others for b in self.bins_of(ell)]] = True
+        return recovered, foreign
 
 
 class _RoundEngine:
@@ -854,10 +881,10 @@ class _RoundEngine:
         self.params = seeded.params
         self.tol = tol = seeded.tol
         self.M = seeded.M
-        self.y = seeded.meas.y
+        self.y = seeded.y
         y1, y2, y3 = self.y[:, 0], self.y[:, 1], self.y[:, 2]
         scale = self.y.max(axis=1, initial=0.0)
-        self.lit = scale > 0.0  # bins with a nonzero measurement
+        self.nonzero = scale > 0.0  # bins with a nonzero measurement
         self.t = tol * scale  # per-bin acceptance margin
         with np.errstate(divide="ignore", invalid="ignore"):
             carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
@@ -952,7 +979,7 @@ class _RoundEngine:
         y = self.y[B]
         t = self.t[B]
         mag = np.abs(sums)
-        exhausted = (np.abs(mag - y) <= t[:, None]).all(axis=1) & self.lit[B]
+        exhausted = (np.abs(mag - y) <= t[:, None]).all(axis=1) & self.nonzero[B]
         p = np.flatnonzero(self.open[B] & (mag[:, 2] > t) & ~exhausted)
         kk = (y[p, 2] / mag[p, 2]) ** 2
         a, b, c = sums[p, 0], sums[p, 1], sums[p, 2]
@@ -1022,7 +1049,7 @@ class _RoundEngine:
         r1, b1 = np.abs(rs[:, 0]), np.abs(bs[:, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             carg = (y[:, 0] * y[:, 0] - r1**2 - b1**2) / (2.0 * r1 * b1)
-            ok = self.lit[B] & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + tol)
+            ok = self.nonzero[B] & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + tol)
         psi = _SIGNS * np.arccos(carg.clip(-1.0, 1.0)) + (np.angle(rs[:, 0]) - np.angle(bs[:, 0]))
         synth = np.abs(rs + np.exp(1j * psi)[:, :, None] * bs)
         passes = (np.abs(synth - y) <= t[:, None]).all(axis=2)
@@ -1033,7 +1060,7 @@ class _RoundEngine:
 
     # -- rounds ---------------------------------------------------------------
 
-    def round(self, K_hint: int, allow_merge: bool) -> bool:
+    def round(self, allow_merge: bool) -> bool:
         """One round: every dirty bin judged against the state at its start,
         then the verdicts applied. Returns whether anything changed."""
         B = np.flatnonzero(self.dirty)
@@ -1053,8 +1080,6 @@ class _RoundEngine:
             one = second < 0
             two = ~one
             two[at[~in_first & (roots != second[at])]] = False  # three or more colors
-        if self.ball_count >= K_hint:
-            one[:] = False  # nothing left to resolve, only merges remain
         self.stats.processor_calls += int(one.sum() + (two.sum() if allow_merge else 0))
         changed = False
         joined = np.zeros(self.M, dtype=bool)
@@ -1063,7 +1088,7 @@ class _RoundEngine:
             sums = np.add.reduceat(contrib, starts)[R]
             exhausted, (pos, ells, x, g, rows), (alias_bins, aliases) = self._resolve(B[R], sums)
             self.exhausted[B[R[exhausted]]] = True
-            changed = self._color(B[R[pos]], ells, x, first[R[pos]], g, rows, K_hint, joined)
+            changed = self._color(B[R[pos]], ells, x, first[R[pos]], g, rows, joined)
             # colored candidates are skipped, so coloring an alias can settle its bin
             self.dirty[alias_bins[self.is_colored(aliases)]] = True
         if allow_merge and two.any():
@@ -1078,11 +1103,11 @@ class _RoundEngine:
             changed |= self._union(B[T], first[T], second[T], psi[order], joined)
         return changed
 
-    def _color(self, bins0, ells, x, roots, g, rows, K_hint, joined) -> bool:
+    def _color(self, bins0, ells, x, roots, g, rows, joined) -> bool:
         """Apply resolved balls in bin order. A ball found through two bins
         keeps the lowest bin's value; a verdict whose bin an earlier ball of
-        this round joins waits for the next round, as does every ball past
-        ``K_hint``."""
+        this round joins waits for the next round. A resolving bin that no
+        other ball of the round joins is exhausted."""
         keep = _first_occurrences(ells)
         if (np.bincount(rows[keep].ravel(), minlength=self.M + 1)[bins0[keep] + 1] > 1).any():
             touched: set[int] = set()
@@ -1092,11 +1117,13 @@ class _RoundEngine:
                     kept.append(k)
                     touched.update(row)
             keep = np.array(kept, dtype=np.int64)
-        keep = keep[: max(K_hint - self.ball_count, 0)]
         if not len(keep):
             return False
         self.add_balls(ells[keep], x[keep], roots[keep], g[keep], rows[keep])
         joined[rows[keep][rows[keep] > 0] - 1] = True
+        settled = bins0[keep][np.bincount(rows[keep].ravel(), minlength=self.M + 1)[bins0[keep] + 1] == 1]
+        self.exhausted[settled] = True
+        self.dirty[settled] = False
         return True
 
     def _union(self, bins0, roots_r, roots_b, psi, joined) -> bool:
@@ -1152,27 +1179,26 @@ class _RoundEngine:
             + int(np.count_nonzero(self.bins[1 : self.count]))
         )
 
-    def result(self, K_hint: int, sweeps: int) -> DecodeResult:
+    def reported(self) -> tuple[list, np.ndarray]:
+        """As ``_Engine.reported``; the engine always holds a component,
+        since the seeding hands it over only when a ball is colored."""
         root = _largest(self.components, lambda mem: self.ell[mem])
-        recovered = []
-        if root is not None:
-            mem = self.components[root]
-            mem = np.array(mem)[np.argsort(self.ell[mem])]
-            recovered = list(zip(self.ell[mem].tolist(), self.val[mem].tolist()))
-        self.stats.sweeps = sweeps
-        self.stats.resident_elements = self.resident_elements()
-        return _result(recovered, K_hint, self.stats)
+        mem = np.array(self.components[root])
+        mem = mem[np.argsort(self.ell[mem])]
+        rows = self.bins[1 : self.count][self.root[1 : self.count] != root].ravel()
+        foreign = np.zeros(self.M, dtype=bool)
+        foreign[rows[rows > 0] - 1] = True
+        return list(zip(self.ell[mem].tolist(), self.val[mem].tolist())), foreign
 
 
-def _grow(engine, K_hint: int, merge: bool, cap: int) -> int:
+def _grow(engine, merge: bool, cap: int | None) -> int:
     """The growth phase on either engine: rounds (sweeps on the scalar
-    engine) until K_hint balls are colored and, for the merging decoder, in
-    one component, until a round changes nothing, or until ``cap`` rounds
-    have run. Returns the rounds run."""
+    engine) until one changes nothing, or until ``cap`` rounds have run.
+    Returns the rounds run, the confirming one included."""
     done = 0
-    while done < cap and (engine.ball_count < K_hint or merge and len(engine.components) > 1):
+    while cap is None or done < cap:
         done += 1
-        if not engine.round(K_hint, merge):
+        if not engine.round(merge):
             break
     return done
 
@@ -1182,11 +1208,9 @@ def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow
     the growth phase; otherwise one doubleton pass seeds a single cluster.
     The scalar ``engine`` seeds; ``grow`` (the round engine), when given,
     takes the kept clusters over from it for the growth phase."""
-    if K_hint == 0:
-        return engine.result(0, 0)
     engine.phase_singletons()
     if engine.ball_count == 0:
-        return engine.result(K_hint, 1)
+        return _result(engine, K_hint, 1)
     roots = engine.forest.roots()
     if not merge:
         engine.phase_doubletons()
@@ -1195,9 +1219,8 @@ def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow
         engine = grow(engine, roots)
     elif not merge:
         engine.restrict_to_component(roots[0])
-    cap = max_sweeps if max_sweeps is not None else K_hint + 2
-    done = _grow(engine, K_hint, merge, cap)
-    return engine.result(K_hint, (1 if merge else 2) + done)
+    done = _grow(engine, merge, max_sweeps)
+    return _result(engine, K_hint, (1 if merge else 2) + done)
 
 
 def _count(value, name: str) -> int:
@@ -1235,7 +1258,13 @@ def decode_unicolor(
 ) -> DecodeResult:
     """Single-cluster decode: singletons, one doubleton-merge pass to seed the
     largest cluster, uncolor everything else, then grow that cluster with
-    resolvable multitons until nothing changes."""
+    resolvable multitons until a sweep changes nothing.
+
+    FullRecovery means that the cluster explains every lit bin (see the
+    module docstring); ``K_hint`` only scales ``fraction_recovered``, 1.0
+    when it is 0. ``stats.sweeps`` counts the sweep that confirmed the
+    decode, so a full decode reports one more than the sweeps that colored
+    its balls."""
     return _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge=False)
 
 
@@ -1248,7 +1277,14 @@ def decode_multicolor(
     max_sweeps: int | None = None,
 ) -> DecodeResult:
     """Many-cluster decode: singletons, then repeated sweeps that both resolve
-    multitons and merge two-color bins, finally reporting the largest cluster."""
+    multitons and merge two-color bins until one changes nothing, finally
+    reporting the largest cluster.
+
+    FullRecovery means that one cluster holds every colored ball and
+    explains every lit bin (see the module docstring); ``K_hint`` only
+    scales ``fraction_recovered``, 1.0 when it is 0. ``stats.sweeps`` counts
+    the sweep that confirmed the decode, so a full decode reports one more
+    than the sweeps that colored and merged its balls."""
     return _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge=True)
 
 

@@ -30,6 +30,6 @@ def concentration_trial(args) -> tuple[float, float]:
         return 1.0, 1.0
     p2 = 1.0 - len(engine.forest.members(root)) / K
     engine.restrict_to_component(root)
-    dec._grow(engine, K, merge=False, cap=sweeps)
+    dec._grow(engine, merge=False, cap=sweeps)
     final = 1.0 - engine.forest.ball_count / K
     return p2, final

@@ -285,6 +285,29 @@ def test_decode_subcommand_round_trip(tmp_path, capsys):
     assert len(rec.read_text().splitlines()) == 40
 
 
+def test_decode_needs_neither_k_nor_the_signal(tmp_path, capsys):
+    # --K only scales fraction_recovered, so decode runs without it and without --signal
+    dump = tmp_path / "dump"
+    assert main([
+        "simulate", "--n", "100000", "--K", "50", "--d", "7", "--c", "3.5",
+        "--trials", "1", "--seed", "5", "--dump-dir", str(dump),
+        "--out", str(tmp_path / "sim.csv"),
+    ]) == 0
+    capsys.readouterr()
+    from phasecode.core import mix64
+
+    code = main([
+        "decode", "--measurements", str(dump / "trial0.meas"),
+        "--ensemble", "balls", "--bins", "175", "--d", "7", "--ens-seed", str(mix64(5, 0, 1)),
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    status = json.loads(lines[-1])
+    assert (status["status"], status["unexplained_bins"]) == ("FullRecovery", 0)
+    assert len(lines) - 1 == 50
+    assert "residual" not in status
+
+
 def test_decode_against_another_signal_reports_no_residual(tmp_path, capsys):
     # a truth file whose support the recovered indices miss has no residual
     for seed in (5, 6):

@@ -416,6 +416,43 @@ def test_single_ball_signal_decodes_in_phase_one():
     assert res.stats.sweeps <= 2
 
 
+def _probe_inputs(trial):
+    """(signal, ensemble, params, measurements) of one trial at n = 1e6,
+    K = 1000, c = 3.32: a code the round engine grows."""
+    from phasecode.cli import ExperimentConfig, _trial_inputs
+
+    cfg = ExperimentConfig(n=10**6, K=1000, d=7, c=3.32, seed=2024).resolve()
+    _, sig, ens, params = _trial_inputs(cfg, trial)
+    return sig, ens, params, encode(sig, ens, params)
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_k_hint_neither_stops_nor_grades_a_decode(trial):
+    # a K_hint below K must neither stop the peeling or the merges early nor
+    # decide the status
+    sig, ens, params, meas = _probe_inputs(trial)
+    for alg in ALGORITHMS:
+        for K_hint in (999, 500):
+            res = get_decoder(alg)(meas, ens, params, K_hint=K_hint)
+            assert res.status == RecoveryStatus.FULL_RECOVERY, (alg, K_hint)
+            assert [ell for ell, _ in res.recovered] == sorted(sig.value_map()), (alg, K_hint)
+            assert res.stats.unexplained_bins == 0
+            assert res.fraction_recovered == 1000 / K_hint
+
+
+def test_a_perturbed_decode_is_never_a_confident_wrong_answer():
+    sig, ens, params, meas = _probe_inputs(1)
+    y = meas.y
+    noise = 1e-8 * np.sqrt(np.mean(y**2)) * np.random.default_rng(1).normal(size=y.shape)
+    noisy = MeasurementSet(np.abs(y + noise), params)
+    truth = sig.value_map()
+    for alg in ALGORITHMS:
+        res = get_decoder(alg)(noisy, ens, params, K_hint=500)
+        wrong = [ell for ell, _ in res.recovered if ell not in truth]
+        assert not (wrong and res.status == RecoveryStatus.FULL_RECOVERY), alg
+        assert (res.stats.unexplained_bins == 0) == (res.status == RecoveryStatus.FULL_RECOVERY)
+
+
 # ---------------------------------------------------------------------------
 # Whole decodes: randomized properties
 # ---------------------------------------------------------------------------
@@ -474,7 +511,7 @@ def test_resident_elements_counts_the_engine_caches():
     sig, ens, params, meas = _random_instance(123, K=50)
     engine = dec._Engine(meas, ens, params, dec.DEFAULT_TOL)
     engine.phase_singletons()
-    dec._grow(engine, sig.k, merge=True, cap=sig.k + 2)
+    dec._grow(engine, merge=True, cap=None)
     state = 5 * ens.M + sum(map(len, engine.discovered)) + 3 * engine.forest.ball_count
     caches = 4 * len(engine.coeff_cache) + (ens.d + 1) * len(engine.bins)
     assert len(engine.bins) >= engine.forest.ball_count > 0 and len(engine.coeff_cache) > 0

@@ -143,7 +143,10 @@ def test_round_engine_edge_cases(alg):
         scalar = _decode(SCALAR, alg, m, e, K)
         rounds = _decode(ROUNDS, alg, m, e, K)
         assert (rounds.status, _support(rounds)) == (scalar.status, _support(scalar)), label
-    assert _decode(ROUNDS, alg, meas, ens, 0).recovered == []
+    for grow in (SCALAR, ROUNDS):  # K_hint = 0 still decodes the toy and certifies it
+        res = _decode(grow, alg, meas, ens, 0)
+        assert (res.status, _support(res), res.stats.unexplained_bins) == (FULL, [1, 2, 3, 4], 0)
+        assert align_global_phase(res.recovered, sig) <= VALUE_TOL
     assert _decode(ROUNDS, alg, meas2, ens2, 4).status is RecoveryStatus.FAILURE
 
 
