@@ -249,7 +249,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     meas = encode(signal, ens, params)
     decode = get_decoder(cfg.algorithm)
     t0 = time.perf_counter()
-    res = decode(meas, ens, params, K_hint=cfg.K)
+    res = decode(meas, ens, K_hint=cfg.K)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return TrialRecord(
         trial=trial,
@@ -335,7 +335,7 @@ def run_bench(
             # a full collection owed to earlier work would land in the timing
             gc.collect()
             t0 = time.perf_counter()
-            res = decode(meas, ens, params, K_hint=K)
+            res = decode(meas, ens, K_hint=K)
             times.append((time.perf_counter() - t0) * 1e3)
             resident = max(resident, res.stats.resident_elements)
             fractions.append(res.fraction_recovered)
@@ -598,7 +598,7 @@ def cmd_decode(args) -> int:
     K = args.K if args.K is not None else (signal.k if signal else 0)
     decode = get_decoder(args.algorithm)
     t0 = time.perf_counter()
-    res = decode(meas, ens, meas.params, K_hint=K)
+    res = decode(meas, ens, K_hint=K)
     wall_ms = (time.perf_counter() - t0) * 1e3
     out = sys.stdout if not args.out else open(args.out, "w")
     try:

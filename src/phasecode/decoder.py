@@ -94,10 +94,10 @@ scalar engine's did.
 ``_grow`` runs the growth phase on either engine, one ``round`` at a time
 (a sweep on the scalar engine), until a round changes nothing. That round
 always comes: each round that changes something colors a new index or joins
-two components. ``max_sweeps``, when given, caps the rounds. The ``sweeps``
-statistic counts the seeding phases and the rounds, the last, confirming
-one included. A sweep sees the bins it has already updated, a round does
-not, so a decode needs more rounds than sweeps: over four signals at
+two components. The ``sweeps`` statistic counts the seeding phases and the
+rounds, the last, confirming one included. A sweep sees the bins it has
+already updated, a round does not, so a decode needs more rounds than
+sweeps: over four signals at
 n = 1e10, K = 4000 the ``sweeps`` statistic is 11 to 14 for Unicolor where
 the scalar engine reports 7 or 8, and 8 for Multicolor where it reports 4.
 Supports equal the scalar engine's up to the ill-conditioned locations of
@@ -107,13 +107,19 @@ The decode is graded on what it observed, by one rule for both engines
 (``_result``). The judges mark a bin exhausted when its members reproduce
 its four measurements: the resolvable judge directly, and the singleton
 judge, a resolving bin and a two-color merge as they verify it; a ball
-joining the bin clears the mark. A bin is lit when its largest measurement
-exceeds ``tol`` times the largest of the set (explicit mask/lens acquisition
-leaves about 1e-16 in empty bins). FullRecovery means that one component
-holds every colored ball and every lit bin is exhausted, Failure that
-nothing was recovered, PartialRecovery anything else; ``unexplained_bins``
-counts the bins that keep a decode from FullRecovery. ``K_hint`` neither
-stops nor grades a decode: it only scales ``fraction_recovered``.
+joining the bin clears the mark. The round engine takes over the marks the
+seeding set on the bins of the balls it keeps. A bin is lit when its
+largest measurement exceeds ``DEFAULT_TOL`` times the largest of the set
+(explicit mask/lens acquisition leaves about 1e-16 in empty bins).
+FullRecovery means that one component holds every colored ball and every
+lit bin is exhausted, Failure that nothing was recovered, PartialRecovery
+anything else; ``unexplained_bins`` counts the bins that keep a decode from
+FullRecovery. ``K_hint`` neither stops nor grades a decode: it only scales
+``fraction_recovered``.
+
+A decode is a function of the measurements and the code alone: the
+modulation is ``meas.params``, and ``DEFAULT_TOL`` is the one relative
+tolerance of every accept test, margin and lit-bin threshold.
 """
 from __future__ import annotations
 
@@ -368,9 +374,7 @@ def _member_sums(
 def process_singleton(
     bin: BinState,
     params: ModulationParams,
-    tol: float = DEFAULT_TOL,
     membership: Callable[[int], bool] | None = None,
-    coeff_cache: dict | None = None,
 ) -> Optional[tuple[int, float]]:
     """Guess: the bin holds exactly one ball. Returns (index, magnitude).
 
@@ -378,15 +382,15 @@ def process_singleton(
     magnitude), location from arccos(y3 / 2 y1), acceptance only if the full
     4-measurement resynthesis for a lone ball matches within tolerance. For a
     lone ball that resynthesis reduces to |g3| y1 = y3, so only g3 is
-    computed; ``coeff_cache`` is neither read nor filled.
+    computed.
     """
     y1, y2, y3, y4 = bin.y
     if y1 <= 0.0:
         return None
-    if abs(y1 - y2) > tol * y1 or abs(y1 - y4) > tol * y1:
+    margin = DEFAULT_TOL * y1
+    if abs(y1 - y2) > margin or abs(y1 - y4) > margin:
         return None
     omega = params.omega
-    margin = tol * y1
     hits: list[int] = []
     for ell in _candidates(y3 / (2.0 * y1), omega, params.n, params.mode == FOURIER):
         # g3 alone, computed as modulation_coeffs does
@@ -404,7 +408,6 @@ def process_mergeable(
     bin: BinState,
     forest: ColorForest,
     params: ModulationParams,
-    tol: float = DEFAULT_TOL,
     coeff_cache: dict | None = None,
 ) -> Optional[float]:
     """Guess: the bin holds exactly its discovered members, which form two
@@ -430,11 +433,11 @@ def process_mergeable(
     bs = _member_sums(mem_b, forest, params, coeff_cache)
     r1, b1 = rs[0], bs[0]
     mag_r, mag_b = abs(r1), abs(b1)
-    margin = tol * scale
+    margin = DEFAULT_TOL * scale
     if mag_r <= margin or mag_b <= margin:
         return None  # degenerate geometry: a class sums to zero in this bin
     carg = (y[0] * y[0] - mag_r**2 - mag_b**2) / (2.0 * mag_r * mag_b)
-    if abs(carg) > 1.0 + tol:
+    if abs(carg) > 1.0 + DEFAULT_TOL:
         return None  # guess wrong: the bin must hold hidden balls
     gamma = math.acos(min(max(carg, -1.0), 1.0))
     base = cmath.phase(r1) - cmath.phase(b1)
@@ -483,7 +486,6 @@ def _resolvable_full(
     bin: BinState,
     forest: ColorForest,
     params: ModulationParams,
-    tol: float = DEFAULT_TOL,
     membership: Callable[[int], bool] | None = None,
     coeff_cache: dict | None = None,
     sums: tuple[complex, complex, complex, complex] | None = None,
@@ -509,7 +511,7 @@ def _resolvable_full(
     scale = max(y)
     if scale <= 0.0:
         return "none", None
-    margin = tol * scale
+    margin = DEFAULT_TOL * scale
     if (
         abs(abs(a) - y1) <= margin
         and abs(abs(b) - y2) <= margin
@@ -524,7 +526,7 @@ def _resolvable_full(
     if abs(c) <= margin:
         return "none", None  # the k-variable construction divides by c
     carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
-    if abs(carg) > 1.0 + tol:
+    if abs(carg) > 1.0 + DEFAULT_TOL:
         return "none", None
     alpha0 = math.acos(min(max(carg, -1.0), 1.0))
     k4 = y3 / abs(c)
@@ -541,7 +543,7 @@ def _resolvable_full(
             continue
         disc = qb * qb - 4.0 * qa * qc
         if disc < 0.0:
-            if disc < -tol * max(qb * qb, abs(4.0 * qa * qc), 1e-300):
+            if disc < -DEFAULT_TOL * max(qb * qb, abs(4.0 * qa * qc), 1e-300):
                 continue
             disc = 0.0
         sq = math.sqrt(disc)
@@ -590,14 +592,13 @@ def process_resolvable(
     bin: BinState,
     forest: ColorForest,
     params: ModulationParams,
-    tol: float = DEFAULT_TOL,
     membership: Callable[[int], bool] | None = None,
     coeff_cache: dict | None = None,
 ) -> Optional[tuple[int, complex]]:
     """Guess: the bin holds its discovered members (one color) plus exactly
     one unknown ball. On success the ball is colored into the component and
     (index, value in the component's coordinate) is returned."""
-    status, payload = _resolvable_full(bin, forest, params, tol, membership, coeff_cache)
+    status, payload = _resolvable_full(bin, forest, params, membership, coeff_cache)
     if status != "resolved":
         return None
     ell, x = payload
@@ -622,18 +623,18 @@ def _largest(components: dict[int, list], index_of: Callable[[list], list[int]])
 
 def _result(engine, K_hint: int, sweeps: int) -> DecodeResult:
     """The decode's outcome on either engine, graded by one rule. A bin is
-    lit when its largest measurement exceeds ``tol`` times the largest of
-    the set. The reported component leaves a bin unexplained when the bin is
-    lit and no judge has marked it exhausted, or when it holds a ball of
-    another component. FullRecovery means no bin is left unexplained,
-    Failure that nothing was recovered, PartialRecovery anything else;
-    ``K_hint`` only scales ``fraction_recovered``."""
+    lit when its largest measurement exceeds ``DEFAULT_TOL`` times the
+    largest of the set. The reported component leaves a bin unexplained
+    when the bin is lit and no judge has marked it exhausted, or when it
+    holds a ball of another component. FullRecovery means no bin is left
+    unexplained, Failure that nothing was recovered, PartialRecovery
+    anything else; ``K_hint`` only scales ``fraction_recovered``."""
     recovered, foreign = engine.reported()
     stats = engine.stats
     stats.sweeps = sweeps
     stats.resident_elements = engine.resident_elements()
     scale = engine.y.max(axis=1, initial=0.0)
-    unexplained = (scale > engine.tol * scale.max(initial=0.0)) & ~np.frombuffer(engine.exhausted, dtype=bool)
+    unexplained = (scale > DEFAULT_TOL * scale.max(initial=0.0)) & ~np.frombuffer(engine.exhausted, dtype=bool)
     stats.unexplained_bins = int(np.count_nonzero(unexplained | foreign))
     if stats.unexplained_bins == 0:
         status = RecoveryStatus.FULL_RECOVERY
@@ -650,7 +651,8 @@ def _result(engine, K_hint: int, sweeps: int) -> DecodeResult:
 
 
 class _Engine:
-    def __init__(self, meas: MeasurementSet, ensemble, params: ModulationParams, tol: float):
+    def __init__(self, meas: MeasurementSet, ensemble):
+        params = meas.params
         if params.n != ensemble.n:
             raise ParameterError(
                 f"dimension mismatch: params n={params.n}, ensemble n={ensemble.n}"
@@ -662,7 +664,6 @@ class _Engine:
         self.y = meas.y
         self.ensemble = ensemble
         self.params = params
-        self.tol = tol
         self.M = meas.M
         # No Python container per bin or ball that the garbage collector has
         # to keep tracking: the measurements as one flat list of floats, each
@@ -738,17 +739,13 @@ class _Engine:
     def phase_singletons(self) -> None:
         y = self.y
         y1 = y[:, 0]
-        tol = self.tol
-        candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= tol * y1) & (
-            np.abs(y1 - y[:, 3]) <= tol * y1
-        )
+        margin = DEFAULT_TOL * y1
+        candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= margin) & (np.abs(y1 - y[:, 3]) <= margin)
         params, forest, stats = self.params, self.forest, self.stats
         in_visited_bin = self.visited_bin_test()
         for b0 in np.flatnonzero(candidate).tolist():
             stats.processor_calls += 1
-            hit = process_singleton(
-                self.bin_state(b0), params, tol, membership=in_visited_bin, coeff_cache=self.coeff_cache
-            )
+            hit = process_singleton(self.bin_state(b0), params, membership=in_visited_bin)
             if hit is None:
                 continue
             ell, mag = hit
@@ -769,7 +766,7 @@ class _Engine:
             if forest.find(ball_a) == forest.find(ball_b):
                 continue
             self.stats.processor_calls += 1
-            process_mergeable(self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache)
+            process_mergeable(self.bin_state(b0), forest, self.params, self.coeff_cache)
 
     def largest_root(self) -> int | None:
         return _largest(self.components, lambda mem: mem)
@@ -812,7 +809,6 @@ class _Engine:
                     self.bin_state(b0),
                     forest,
                     self.params,
-                    self.tol,
                     membership=in_visited_bin,
                     coeff_cache=self.coeff_cache,
                     sums=_member_sums(mem, forest, self.params, self.coeff_cache),
@@ -829,9 +825,7 @@ class _Engine:
                 ra, rb = roots
                 # union pops the absorbed root's members unchanged
                 mem_a, mem_b = forest.members(ra), forest.members(rb)
-                psi = process_mergeable(
-                    self.bin_state(b0), forest, self.params, self.tol, self.coeff_cache
-                )
+                psi = process_mergeable(self.bin_state(b0), forest, self.params, self.coeff_cache)
                 if psi is not None:
                     exhausted[b0] = 1
                     self.revisit(mem_a if root_of[ra] != ra else mem_b)
@@ -876,21 +870,21 @@ class _RoundEngine:
     def __init__(self, seeded: _Engine, roots: list[int]):
         """Take over the components of ``roots`` that the scalar engine
         ``seeded`` colored while seeding; their balls' weights and bins come
-        from the batch queries ``_coeffs_many`` and ``bins_many``."""
+        from the batch queries ``_coeffs_many`` and ``bins_many``, and the
+        seeding's exhausted marks on their bins stand."""
         self.ensemble = seeded.ensemble
         self.params = seeded.params
-        self.tol = tol = seeded.tol
         self.M = seeded.M
         self.y = seeded.y
         y1, y2, y3 = self.y[:, 0], self.y[:, 1], self.y[:, 2]
         scale = self.y.max(axis=1, initial=0.0)
         self.nonzero = scale > 0.0  # bins with a nonzero measurement
-        self.t = tol * scale  # per-bin acceptance margin
+        self.t = DEFAULT_TOL * scale  # per-bin acceptance margin
         with np.errstate(divide="ignore", invalid="ignore"):
             carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
             # the bins whose measurements admit "members plus one unknown",
             # and the two z = (y1/y2) exp(+-i alpha0) of _resolvable_full
-            self.open = (y1 > self.t) & (y2 > self.t) & (np.abs(carg) <= 1.0 + tol)
+            self.open = (y1 > self.t) & (y2 > self.t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
             self.z = (y1 / y2) * np.exp(1j * _SIGNS * np.arccos(carg.clip(-1.0, 1.0)))
         self.stats = seeded.stats
         slots = self.M // 2 + 1  # room for M/2 balls before the first growth
@@ -919,6 +913,10 @@ class _RoundEngine:
             _coeffs_many(self.params, ells).T,
             self.ensemble.bins_many(ells),
         )
+        # a seeding mark sits on a bin holding one ball, so it stands where
+        # that ball is kept
+        self.exhausted = np.frombuffer(seeded.exhausted, dtype=bool) & (self.load > 0)
+        self.dirty &= ~self.exhausted
 
     @property
     def ball_count(self) -> int:
@@ -975,7 +973,6 @@ class _RoundEngine:
         mask over ``B``; per resolved bin its position in ``B``, the new ball,
         its value, its weights and its bins; and the (bin, ball) pairs of the
         hits that bins rejected as aliases of another hit."""
-        tol = self.tol
         y = self.y[B]
         t = self.t[B]
         mag = np.abs(sums)
@@ -987,7 +984,7 @@ class _RoundEngine:
         with np.errstate(divide="ignore", invalid="ignore"):
             qa, qb, qc = _one_unknown_quadratic(z, z * b - a, c, kk)
             disc = qb * qb - 4.0 * qa * qc
-            ok = (qa > 0.0) & (disc >= -tol * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
+            ok = (qa > 0.0) & (disc >= -DEFAULT_TOL * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
             # axes: sign, root of the quadratic (+sqrt first), bin
             u = (-qb[:, None] + _SIGNS.T[:, :, None] * np.sqrt(np.maximum(disc, 0.0))[:, None]) / (2.0 * qa)[:, None]
             ok = ok[:, None] & (u >= -1e-9) & (u <= 1.0 + 1e-9)
@@ -1043,13 +1040,12 @@ class _RoundEngine:
         r-class frame; and how well each psi is conditioned, sin(gamma) times
         the two class magnitudes over y1**2 (the cosine law loses precision
         as gamma nears 0 or pi, or a class sum nears 0)."""
-        tol = self.tol
         y = self.y[B]
         t = self.t[B]
         r1, b1 = np.abs(rs[:, 0]), np.abs(bs[:, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             carg = (y[:, 0] * y[:, 0] - r1**2 - b1**2) / (2.0 * r1 * b1)
-            ok = self.nonzero[B] & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + tol)
+            ok = self.nonzero[B] & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
         psi = _SIGNS * np.arccos(carg.clip(-1.0, 1.0)) + (np.angle(rs[:, 0]) - np.angle(bs[:, 0]))
         synth = np.abs(rs + np.exp(1j * psi)[:, :, None] * bs)
         passes = (np.abs(synth - y) <= t[:, None]).all(axis=2)
@@ -1203,11 +1199,12 @@ def _grow(engine, merge: bool, cap: int | None) -> int:
     return done
 
 
-def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow=None) -> DecodeResult:
+def _run(engine: _Engine, K_hint: int, merge: bool, grow=None, *, cap: int | None = None) -> DecodeResult:
     """Both decoders: ``merge`` keeps every singleton cluster and merges in
     the growth phase; otherwise one doubleton pass seeds a single cluster.
     The scalar ``engine`` seeds; ``grow`` (the round engine), when given,
-    takes the kept clusters over from it for the growth phase."""
+    takes the kept clusters over from it for the growth phase. ``cap``, when
+    given, caps the growth rounds; the public decoders never set it."""
     engine.phase_singletons()
     if engine.ball_count == 0:
         return _result(engine, K_hint, 1)
@@ -1219,7 +1216,7 @@ def _run(engine: _Engine, K_hint: int, max_sweeps: int | None, merge: bool, grow
         engine = grow(engine, roots)
     elif not merge:
         engine.restrict_to_component(roots[0])
-    done = _grow(engine, merge, max_sweeps)
+    done = _grow(engine, merge, cap)
     return _result(engine, K_hint, (1 if merge else 2) + done)
 
 
@@ -1234,18 +1231,12 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge: bool) -> DecodeResult:
+def _decode(meas, ensemble, params, K_hint, merge: bool) -> DecodeResult:
     K_hint = _count(K_hint, "K_hint")
-    if max_sweeps is not None:
-        max_sweeps = _count(max_sweeps, "max_sweeps")
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError):
-        raise ParameterError(f"tol must be a number, got {tol!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
+    if params is not None and params != meas.params:
+        raise ParameterError(f"params {params} differ from the measurements' {meas.params}")
     grow = _RoundEngine if meas.M >= ROUND_ENGINE_MIN_BINS else None
-    return _run(_Engine(meas, ensemble, params or meas.params, tol), K_hint, max_sweeps, merge, grow)
+    return _run(_Engine(meas, ensemble), K_hint, merge, grow)
 
 
 def decode_unicolor(
@@ -1253,8 +1244,6 @@ def decode_unicolor(
     ensemble,
     params: ModulationParams | None = None,
     K_hint: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
 ) -> DecodeResult:
     """Single-cluster decode: singletons, one doubleton-merge pass to seed the
     largest cluster, uncolor everything else, then grow that cluster with
@@ -1264,8 +1253,11 @@ def decode_unicolor(
     module docstring); ``K_hint`` only scales ``fraction_recovered``, 1.0
     when it is 0. ``stats.sweeps`` counts the sweep that confirmed the
     decode, so a full decode reports one more than the sweeps that colored
-    its balls."""
-    return _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge=False)
+    its balls.
+
+    The decode depends on ``meas`` and ``ensemble`` alone: the modulation is
+    ``meas.params``, and a ``params`` other than None must equal it."""
+    return _decode(meas, ensemble, params, K_hint, merge=False)
 
 
 def decode_multicolor(
@@ -1273,8 +1265,6 @@ def decode_multicolor(
     ensemble,
     params: ModulationParams | None = None,
     K_hint: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
 ) -> DecodeResult:
     """Many-cluster decode: singletons, then repeated sweeps that both resolve
     multitons and merge two-color bins until one changes nothing, finally
@@ -1284,8 +1274,11 @@ def decode_multicolor(
     explains every lit bin (see the module docstring); ``K_hint`` only
     scales ``fraction_recovered``, 1.0 when it is 0. ``stats.sweeps`` counts
     the sweep that confirmed the decode, so a full decode reports one more
-    than the sweeps that colored and merged its balls."""
-    return _decode(meas, ensemble, params, K_hint, tol, max_sweeps, merge=True)
+    than the sweeps that colored and merged its balls.
+
+    The decode depends on ``meas`` and ``ensemble`` alone: the modulation is
+    ``meas.params``, and a ``params`` other than None must equal it."""
+    return _decode(meas, ensemble, params, K_hint, merge=True)
 
 
 def get_decoder(algorithm: str) -> Callable[..., DecodeResult]:

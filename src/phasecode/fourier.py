@@ -129,6 +129,16 @@ def stage_mask(n: int, f: int) -> np.ndarray:
     return np.round(mask).astype(bool)
 
 
+def _checked(stage: StagePlan, n: int) -> StagePlan:
+    """``stage``, once its mask is known to have length n and to pass only
+    samples on its n/f lattice, as ``_stage_values`` assumes."""
+    if len(stage.mask) != n:
+        raise ParameterError("mask length must match the signal")
+    if np.count_nonzero(stage.mask[:: n // stage.f]) != np.count_nonzero(stage.mask):
+        raise ReplicaMismatchError(f"stage mask for f={stage.f} passes samples off its n/f lattice")
+    return stage
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -141,10 +151,11 @@ def _code_optics(
     """The stages and the cosine mask of one code, shared by every plan of it.
 
     Only the most recent code is kept; its arrays are read-only because every
-    plan of the code hands out the same objects.
+    plan of the code hands out the same objects, so each mask is checked
+    here, once.
     """
     stages = tuple(
-        StagePlan(f=f, offset=off, mask=_read_only(stage_mask(n, f)), scale=n / f)
+        _checked(StagePlan(f=f, offset=off, mask=_read_only(stage_mask(n, f)), scale=n / f), n)
         for f, off in zip(heights, offsets)
     )
     # frequency-plane cosine weights for ball ell = j + 1 at array slot j
@@ -214,15 +225,11 @@ def _stage_values(
     the shifted lattice. The cosine variant's field is the second lens applied
     to ``spectrum`` (``_cosine_spectrum``), and a length-n transform sampled
     every n/f slots is the length-f transform of the spectrum folded modulo
-    f, so that lens runs at length f too.
+    f, so that lens runs at length f too. ``stage`` has passed ``_checked``.
     """
     n = plan.n
-    if len(stage.mask) != n:
-        raise ParameterError("mask length must match the signal")
     step = n // stage.f
     taps = stage.mask[::step]
-    if np.count_nonzero(taps) != np.count_nonzero(stage.mask):
-        raise ReplicaMismatchError(f"stage mask for f={stage.f} passes samples off its n/f lattice")
     if variant == "cosine":
         field = np.fft.fft(alias_fold(spectrum, stage.f))
     else:
@@ -250,6 +257,7 @@ def acquire_stage(x: np.ndarray, plan: MaskLensPlan, stage: StagePlan, variant: 
     x = _signal(x, plan.n)
     if variant not in VARIANTS:
         raise ParameterError(f"unknown stage variant {variant!r}")
+    _checked(stage, plan.n)
     spectrum = _cosine_spectrum(x, plan) if variant == "cosine" else None
     return _stage_values(x, spectrum, plan, stage, variant)
 
@@ -297,4 +305,4 @@ def ff_sparse_decode(meas: MeasurementSet, ensemble, K_hint: int, algorithm: str
     decode = get_decoder(algorithm)
     if meas.params.mode != FOURIER:
         raise ParameterError("measurements were not taken in Fourier mode")
-    return decode(meas, ensemble, meas.params, K_hint)
+    return decode(meas, ensemble, K_hint=K_hint)

@@ -66,16 +66,16 @@ class ChainMeasurements:
         return len(self.mags) + len(self.sums) + len(self.rotated_sums)
 
 
-def chain_measure(x: np.ndarray, omega: float | None = None, anchor: int = 1) -> ChainMeasurements:
-    """Magnitude-only chain measurements of a dense complex vector."""
+def chain_measure(x: np.ndarray, anchor: int = 1) -> ChainMeasurements:
+    """Magnitude-only chain measurements of a dense complex vector, rotated
+    at omega = pi/2n."""
     x = np.asarray(x, dtype=np.complex128)
     n = len(x)
     if n < 2:
         raise ParameterError("chain scheme needs n >= 2")
     if not 1 <= anchor <= n:
         raise ParameterError(f"anchor {anchor} outside [1, {n}]")
-    if omega is None:
-        omega = math.pi / (2.0 * n)
+    omega = math.pi / (2.0 * n)
     others = np.array([ell for ell in range(1, n + 1) if ell != anchor])
     xa = x[anchor - 1]
     xo = x[others - 1]

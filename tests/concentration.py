@@ -22,7 +22,7 @@ def concentration_trial(args) -> tuple[float, float]:
     ens = build_balls_and_bins(n, M, d, mix64(master, trial, 1))
     params = ModulationParams.draw(n, mix64(master, trial, 2))
     meas = encode(signal, ens, params)
-    engine = dec._Engine(meas, ens, params, dec.DEFAULT_TOL)
+    engine = dec._Engine(meas, ens)
     engine.phase_singletons()
     engine.phase_doubletons()
     root = engine.largest_root()

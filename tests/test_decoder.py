@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,29 +265,20 @@ def _assert_cache_is_exact(cache, params):
 
 @pytest.mark.parametrize("mode", [dec.GENERAL, FOURIER])
 def test_scalar_judges_agree_bytewise_with_no_cold_or_warm_cache(mode):
+    # the singleton judge takes no cache; the resolvable judge's verdict
+    # must not depend on one
     rng = np.random.default_rng(21)
     params = ModulationParams(n=4095, L=1001, mode=mode)
     resolved = 0
     for trial in range(400):
         true_case = trial % 3 != 0
-        st, balls = make_singleton_case(rng, params, true_case)
-        truth = {ell for ell, _ in balls}
-        member = truth.__contains__
-        plain = process_singleton(st, params, membership=member)
-        cold: dict = {}
-        warm = {ell: modulation_coeffs(params, ell) for ell in truth}
-        warm_before = dict(warm)
-        assert repr(process_singleton(st, params, membership=member, coeff_cache=cold)) == repr(plain)
-        assert repr(process_singleton(st, params, membership=member, coeff_cache=warm)) == repr(plain)
-        assert cold == {} and warm == warm_before  # the singleton judge never fills the cache
-
         st, forest, knowns, unknowns = make_resolvable_case(
             rng, params, true_case, known_count=1 + trial % 3
         )
         truth = {ell for ell, _ in unknowns}
         member = truth.__contains__
         plain = dec._resolvable_full(st, forest, params, membership=member)
-        cold = {}
+        cold: dict = {}
         warm = {ell: modulation_coeffs(params, ell) for ell, _ in knowns + unknowns}
         assert repr(dec._resolvable_full(st, forest, params, membership=member, coeff_cache=cold)) == repr(plain)
         assert repr(dec._resolvable_full(st, forest, params, membership=member, coeff_cache=warm)) == repr(plain)
@@ -509,7 +501,7 @@ def test_work_bounds():
 
 def test_resident_elements_counts_the_engine_caches():
     sig, ens, params, meas = _random_instance(123, K=50)
-    engine = dec._Engine(meas, ens, params, dec.DEFAULT_TOL)
+    engine = dec._Engine(meas, ens)
     engine.phase_singletons()
     dec._grow(engine, merge=True, cap=None)
     state = 5 * ens.M + sum(map(len, engine.discovered)) + 3 * engine.forest.ball_count
@@ -543,9 +535,9 @@ MALFORMED_PROBES = {
     "K_hint=-1": lambda ens, sig, meas: decode_unicolor(meas, ens, K_hint=-1),
     "K_hint=1.5": lambda ens, sig, meas: decode_multicolor(meas, ens, K_hint=1.5),
     "K_hint=None": lambda ens, sig, meas: decode_unicolor(meas, ens, K_hint=None),
-    "tol=-1": lambda ens, sig, meas: decode_multicolor(meas, ens, K_hint=4, tol=-1.0),
-    "tol=nan": lambda ens, sig, meas: decode_unicolor(meas, ens, K_hint=4, tol=float("nan")),
-    "max_sweeps=-1": lambda ens, sig, meas: decode_multicolor(meas, ens, K_hint=4, max_sweeps=-1),
+    "params other than the measurements'": lambda ens, sig, meas: decode_multicolor(
+        meas, ens, replace(meas.params, L=meas.params.L % (meas.params.n - 1) + 1), K_hint=4
+    ),
     "y with a NaN": lambda ens, sig, meas: MeasurementSet(
         _with_y(meas, lambda y: y.__setitem__((0, 2), np.nan)), meas.params
     ),

@@ -46,9 +46,8 @@ class _CheckedHandOver(dec._RoundEngine):
 SCALAR, ROUNDS = None, _CheckedHandOver  # the growth engines ``_run`` can hand over to
 
 
-def _decode(grow, alg, meas, ens, K, max_sweeps=None):
-    seeded = dec._Engine(meas, ens, meas.params, dec.DEFAULT_TOL)
-    return dec._run(seeded, K, max_sweeps, alg == "multicolor", grow)
+def _decode(grow, alg, meas, ens, K, cap=None):
+    return dec._run(dec._Engine(meas, ens), K, alg == "multicolor", grow, cap=cap)
 
 
 def _support(res) -> list[int]:
@@ -152,7 +151,7 @@ def test_round_engine_edge_cases(alg):
 
 @pytest.mark.parametrize("alg", dec.ALGORITHMS)
 def test_max_sweeps_caps_rounds(alg):
-    """``max_sweeps`` caps rounds, which peel one step each where a sweep
+    """``_run``'s ``cap`` caps rounds, which peel one step each where a sweep
     sees the bins it has already updated, so a capped decode is compared
     with the uncapped one and the truth rather than with the scalar engine."""
     seeding = 1 if alg == "multicolor" else 2
@@ -164,6 +163,36 @@ def test_max_sweeps_caps_rounds(alg):
         if capped.stats.sweeps < full.stats.sweeps:
             assert capped.status is not RecoveryStatus.FULL_RECOVERY
     assert full.stats.sweeps > seeding + 2  # the large case needs more rounds than the cap
+
+
+@pytest.mark.parametrize("alg", dec.ALGORITHMS)
+def test_first_round_skips_the_bins_the_seeding_verified(alg, monkeypatch):
+    """A bin the singleton judge marked exhausted holds its ball alone, so
+    the round engine keeps the mark wherever it keeps that ball, and its
+    first round does not judge the bin again."""
+    engines = []
+
+    class Recording(dec._RoundEngine):
+        def __init__(self, seeded, roots):
+            super().__init__(seeded, roots)
+            kept = set(self.ell[1 : self.count].tolist())
+            marked = np.flatnonzero(np.frombuffer(seeded.exhausted, dtype=bool)).tolist()
+            assert all(len(seeded.discovered[b0]) == 1 for b0 in marked)
+            self.verified = {b0 for b0 in marked if seeded.discovered[b0][0] in kept}
+            self.judged = None
+            engines.append(self)
+
+        def round(self, allow_merge):
+            if self.judged is None:
+                self.judged = set(np.flatnonzero(self.dirty).tolist())
+            return super().round(allow_merge)
+
+    monkeypatch.setattr(dec, "_RoundEngine", Recording)
+    _, meas, ens = _large_case()
+    assert dec.get_decoder(alg)(meas, ens, K_hint=400).status is FULL
+    (engine,) = engines
+    assert engine.verified and engine.judged
+    assert not engine.verified & engine.judged
 
 
 def test_round_engine_gives_no_confident_wrong_answer_at_n_1e12():
