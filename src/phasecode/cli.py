@@ -115,6 +115,8 @@ class ExperimentConfig:
 
     def resolve(self) -> "ExperimentConfig":
         """Fill in derived fields and check internal consistency."""
+        if self.threads < 1:
+            raise ParameterError(f"threads must be at least 1, got {self.threads}")
         if self.ensemble != "balls":
             ens = self.build_ensemble()  # the CRT code fixes n, M and d
             self.n, self.M, self.d = ens.n, ens.M, ens.d
@@ -411,6 +413,8 @@ def run_ff_verify(n_list=None, checks_per_case: int = 100, seed: int = 1) -> lis
     mask/lens acquisition runs, against ``ff_sparse_acquire_implicit`` on
     sparse spectra.
     """
+    if checks_per_case < 1:
+        raise ParameterError(f"checks per case must be at least 1, got {checks_per_case}")
     results = []
     tol = 1e-9
     for n in n_list or sorted(FF_VERIFY_STAGES):

@@ -4,38 +4,43 @@ The decoder never sees the signal support. It discovers balls through three
 guess-and-check processors, each of which hypothesizes a bin composition,
 solves the resulting trigonometric puzzle, and validates against the
 measurements (most importantly the independent check row y4). Unicolor and
-Multicolor share one driver, ``_run``, with two seeding policies: Unicolor
-keeps only the largest doubleton-merged cluster of singletons, Multicolor
-keeps every cluster.
+Multicolor are one pipeline, ``_decode``, that differs only in its seeding:
+both color the singletons; Unicolor then merges across doubleton bins once
+and keeps only the largest cluster (``restrict_to_component``), Multicolor
+keeps every cluster. The growth phase that follows (``_grow``) takes no
+policy: each round resolves one-color bins and merges two-color bins, and
+since Unicolor's growth holds a single component, it never meets a
+two-color bin.
 
 Two engines carry the growth phase, chosen by the code's size. The scalar
-``_Engine`` always seeds (singletons; for Unicolor also the doubleton pass)
-and, below ``ROUND_ENGINE_MIN_BINS`` bins, also grows. From that size on,
-``_RoundEngine`` takes the kept components over (for Unicolor the largest
-one, as the restrict would keep) and grows them. Median decode ms, seeding
-included, with the engine forced either way and the two engines timed
-decode by decode in alternating order (7 repetitions, one process on a
-2-core VM; M = 67 is the Fourier-mode mask/lens code at K = 12 over 64
-signals, M = 376 the criterion-4 CRT code at K = 140 over 40, M = 3320
-balls-and-bins at n = 1e6, K = 1000 over 4, and M = 14000 balls-and-bins
-at n = 1e10, K = 4000 over 2, both with d = 7):
+``_Engine`` always seeds and, below ``ROUND_ENGINE_MIN_BINS`` bins, also
+grows. From that size on, ``_RoundEngine`` takes over every component the
+seeding kept and grows them. Median decode ms, seeding included, with the
+engine forced either way through ``ROUND_ENGINE_MIN_BINS`` and the two
+engines timed decode by decode in alternating order (7 repetitions, one
+process on a 2-core VM; M = 67 is the Fourier-mode mask/lens code at
+K = 12 over 64 signals, M = 376 the criterion-4 CRT code at K = 140 over
+40, M = 3320 balls-and-bins at n = 1e6, K = 1000 over 4, and M = 14000
+balls-and-bins at n = 1e10, K = 4000 over 2, both with d = 7; ranges over
+four runs for M <= 376 and two above):
 
     M        unicolor scalar / round    multicolor scalar / round
-    67            1.12 /   3.15              0.84 /   2.64
-    376          12.8  /   8.1               9.5  /   8.4
-    3320         93    /  36                50    /  25
-    14000       405    / 116               291    / 128
+    67          0.66-0.70 / 2.0-2.1        0.50-0.57 / 2.1-2.3
+    376         7.7-8.3   / 5.9-6.7        5.8-6.2   / 5.2-5.8
+    3320       55-60      / 23-24         36-38      / 22
+    14000     268-287     / 97-100          170      / 86-94
 
-A round costs about 0.9 ms of numpy calls whatever its size, so rounds lose
-on the smallest codes and win from a few hundred bins on. The median of
-each decode's round / scalar time ratio is 2.7 (unicolor) and 3.0
-(multicolor) at M = 67 and 0.91 and 0.86 at M = 376, so both decoders cross
-over between those sizes (M = 376's unicolor medians mix full and partial
-decodes). The constant sits above the crossover so that every code the
-reference panel and criterion 4 pin (M <= 376) keeps the scalar engine byte
-for byte; that, not speed, holds it at 1024. The scalar engine and the
-scalar processors are also the reference the round engine is tested
-against.
+A round's numpy calls, like the hand-over's, cost about the same whatever
+the code's size: at M = 67 the round engine spends 1.3 to 1.7 ms more per
+decode over 3.6 (unicolor) or 4.4 (multicolor) growth rounds, so rounds
+lose on the smallest codes and win from a few hundred bins on. The median
+of each decode's round / scalar time ratio is 2.9 (unicolor) and 4.0-4.1
+(multicolor) at M = 67 and 0.86-0.89 and 0.95 at M = 376, so both decoders
+cross over between those sizes. The constant sits above the crossover so that
+every code the reference panel and criterion 4 pin (M <= 376) keeps the
+scalar engine byte for byte; that, not speed, holds it at 1024. The scalar
+engine and the scalar processors are also the reference the round engine
+is tested against.
 
 The scalar engine peels in place: it sweeps the bins in order, one Python
 call per visit, so a bin sees what earlier bins of the same sweep colored.
@@ -84,9 +89,10 @@ batch. A round
   error at n = 1e6, K = 1000, c = 2.75 from 6.5e-6 to 5.3e-7 over 200 seeds.
 
 Seeding stays scalar although it could be batched too: a prototype that
-batched it ran the n = 1e10, K = 4000 unicolor decode in ~75 ms instead of
-~160 ms, but Unicolor grows from a small seed cluster in 8 to 12 rounds, so
-at K = 1000 the rounds' fixed cost was ~40% of the decode and criterion 5's
+batched it ran the n = 1e10, K = 4000 unicolor decode in ~75 ms when the
+scalar-seeded decode took ~160 ms (it takes about 90 ms now), but Unicolor
+grows from a small seed cluster in 8 to 12 rounds, so at K = 1000 the
+rounds' fixed cost was ~40% of the decode and criterion 5's
 K = 1000 -> 2000 time ratio fell to the floor of its band (median 1.62 over
 8 runs, 4 of them failing). With the scalar seeding the ratios sit where the
 scalar engine's did.
@@ -94,12 +100,14 @@ scalar engine's did.
 ``_grow`` runs the growth phase on either engine, one ``round`` at a time
 (a sweep on the scalar engine), until a round changes nothing. That round
 always comes: each round that changes something colors a new index or joins
-two components. The ``sweeps`` statistic counts the seeding phases and the
-rounds, the last, confirming one included. A sweep sees the bins it has
-already updated, a round does not, so a decode needs more rounds than
-sweeps: over four signals at
-n = 1e10, K = 4000 the ``sweeps`` statistic is 11 to 14 for Unicolor where
-the scalar engine reports 7 or 8, and 8 for Multicolor where it reports 4.
+two components. The round engine skips its two-color detection while it
+holds one component; running it on every Unicolor round cost a median
+0.5 ms per decode at n = 1e6, K = 1000. The ``sweeps`` statistic counts the
+seeding phases and the rounds, the last, confirming one included. A sweep
+sees the bins it has already updated, a round does not, so a decode needs
+more rounds than sweeps: over four signals at n = 1e10, K = 4000 the
+``sweeps`` statistic is 11 to 14 for Unicolor where the scalar engine
+reports 7 or 8, and 8 for Multicolor where it reports 4.
 Supports equal the scalar engine's up to the ill-conditioned locations of
 very large n; values differ in the last bits.
 
@@ -773,19 +781,21 @@ class _Engine:
 
     def restrict_to_component(self, root: int) -> None:
         """Uncolor every ball outside ``root``'s component and forget its value.
-        Only singleton bins are marked exhausted while seeding, so a mark
-        stands where its ball survives."""
+        The survivors are colored again in the component's order, which sets
+        their order in each bin. Only singleton bins are marked exhausted
+        while seeding, so a mark stands where its ball survives."""
         survivors = self.forest.component_items(root)
-        settled = bytes(self.exhausted)
+        settled = self.exhausted
         self.forest = ColorForest()
         self.discovered = [()] * self.M
-        (first_ell, first_val), rest = survivors[0], survivors[1:]
-        self.color_ball(first_ell, first_val, None)
-        for ell, val in rest:
-            self.color_ball(ell, val, first_ell)
-        self.exhausted = bytearray(s and mem != () for s, mem in zip(settled, self.discovered))
+        exhausted = self.exhausted = bytearray(self.M)
+        first = survivors[0][0]
+        for ell, val in survivors:
+            self.color_ball(ell, val, None if ell == first else first)
+            for b in self.bins[ell]:  # color_ball cleared the seeding's mark
+                exhausted[b - 1] = settled[b - 1]
 
-    def round(self, allow_merge: bool) -> bool:
+    def round(self) -> bool:
         """One sweep: an ascending pass over the dirty bins that sees what
         earlier bins of the same sweep colored. Returns whether anything
         changed."""
@@ -820,7 +830,7 @@ class _Engine:
                     self.color_ball(ell, x, roots.pop())
                     exhausted[b0] = 1  # the members and ell reproduce the bin
                     changed = True
-            elif len(roots) == 2 and allow_merge:
+            elif len(roots) == 2:
                 self.stats.processor_calls += 1
                 ra, rb = roots
                 # union pops the absorbed root's members unchanged
@@ -867,11 +877,11 @@ class _RoundEngine:
     each bin in discovery order (``load`` of them per bin). ``dirty`` marks
     the bins the next round judges: bins with members, none exhausted."""
 
-    def __init__(self, seeded: _Engine, roots: list[int]):
-        """Take over the components of ``roots`` that the scalar engine
-        ``seeded`` colored while seeding; their balls' weights and bins come
-        from the batch queries ``_coeffs_many`` and ``bins_many``, and the
-        seeding's exhausted marks on their bins stand."""
+    def __init__(self, seeded: _Engine):
+        """Take over every component the scalar engine ``seeded`` kept from
+        its seeding; their balls' weights and bins come from the batch
+        queries ``_coeffs_many`` and ``bins_many``, and the seeding's
+        exhausted marks stand."""
         self.ensemble = seeded.ensemble
         self.params = seeded.params
         self.M = seeded.M
@@ -902,8 +912,7 @@ class _RoundEngine:
         self.load = np.zeros(self.M, dtype=np.int64)
         self.dirty = np.zeros(self.M, dtype=bool)
         self.exhausted = np.zeros(self.M, dtype=bool)
-        forest = seeded.forest
-        comps = [forest.component_items(root) for root in roots]
+        comps = [seeded.forest.component_items(root) for root in seeded.forest.roots()]
         ells = np.array([ell for comp in comps for ell, _ in comp], dtype=np.int64)
         sizes = [len(comp) for comp in comps]
         self.add_balls(
@@ -913,9 +922,8 @@ class _RoundEngine:
             _coeffs_many(self.params, ells).T,
             self.ensemble.bins_many(ells),
         )
-        # a seeding mark sits on a bin holding one ball, so it stands where
-        # that ball is kept
-        self.exhausted = np.frombuffer(seeded.exhausted, dtype=bool) & (self.load > 0)
+        # every seeding mark sits on a bin holding one kept ball
+        self.exhausted = np.frombuffer(seeded.exhausted, dtype=bool).copy()
         self.dirty &= ~self.exhausted
 
     @property
@@ -1056,9 +1064,11 @@ class _RoundEngine:
 
     # -- rounds ---------------------------------------------------------------
 
-    def round(self, allow_merge: bool) -> bool:
+    def round(self) -> bool:
         """One round: every dirty bin judged against the state at its start,
-        then the verdicts applied. Returns whether anything changed."""
+        then the verdicts applied. Returns whether anything changed. While
+        the engine holds one component no bin can hold two colors, so the
+        round does not look for them."""
         B = np.flatnonzero(self.dirty)
         self.dirty[B] = False
         slots = self.table[B, : self.load[B].max(initial=0)]
@@ -1068,15 +1078,15 @@ class _RoundEngine:
         contrib = self.gv[members]
         roots = self.root[members]
         first = roots[starts]
-        one = np.ones(len(B), dtype=bool)
-        if allow_merge:
+        one, two = np.ones(len(B), dtype=bool), np.zeros(len(B), dtype=bool)
+        if len(self.components) > 1:
             in_first = roots == first[at]
             second = np.full(len(B), -1, dtype=np.int64)
             np.maximum.at(second, at, np.where(in_first, -1, roots))
             one = second < 0
             two = ~one
             two[at[~in_first & (roots != second[at])]] = False  # three or more colors
-        self.stats.processor_calls += int(one.sum() + (two.sum() if allow_merge else 0))
+        self.stats.processor_calls += int(one.sum() + two.sum())
         changed = False
         joined = np.zeros(self.M, dtype=bool)
         if one.any():
@@ -1087,7 +1097,7 @@ class _RoundEngine:
             changed = self._color(B[R[pos]], ells, x, first[R[pos]], g, rows, joined)
             # colored candidates are skipped, so coloring an alias can settle its bin
             self.dirty[alias_bins[self.is_colored(aliases)]] = True
-        if allow_merge and two.any():
+        if two.any():
             T = np.flatnonzero(two)
             rs = np.add.reduceat(np.where(in_first[:, None], contrib, 0), starts)[T]
             bs = np.add.reduceat(np.where(in_first[:, None], 0, contrib), starts)[T]
@@ -1187,37 +1197,14 @@ class _RoundEngine:
         return list(zip(self.ell[mem].tolist(), self.val[mem].tolist())), foreign
 
 
-def _grow(engine, merge: bool, cap: int | None) -> int:
+def _grow(engine) -> int:
     """The growth phase on either engine: rounds (sweeps on the scalar
-    engine) until one changes nothing, or until ``cap`` rounds have run.
-    Returns the rounds run, the confirming one included."""
-    done = 0
-    while cap is None or done < cap:
+    engine) until one changes nothing. Returns the rounds run, the
+    confirming one included."""
+    done = 1
+    while engine.round():
         done += 1
-        if not engine.round(merge):
-            break
     return done
-
-
-def _run(engine: _Engine, K_hint: int, merge: bool, grow=None, *, cap: int | None = None) -> DecodeResult:
-    """Both decoders: ``merge`` keeps every singleton cluster and merges in
-    the growth phase; otherwise one doubleton pass seeds a single cluster.
-    The scalar ``engine`` seeds; ``grow`` (the round engine), when given,
-    takes the kept clusters over from it for the growth phase. ``cap``, when
-    given, caps the growth rounds; the public decoders never set it."""
-    engine.phase_singletons()
-    if engine.ball_count == 0:
-        return _result(engine, K_hint, 1)
-    roots = engine.forest.roots()
-    if not merge:
-        engine.phase_doubletons()
-        roots = [engine.largest_root()]
-    if grow is not None:
-        engine = grow(engine, roots)
-    elif not merge:
-        engine.restrict_to_component(roots[0])
-    done = _grow(engine, merge, cap)
-    return _result(engine, K_hint, (1 if merge else 2) + done)
 
 
 def _count(value, name: str) -> int:
@@ -1231,12 +1218,24 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _decode(meas, ensemble, params, K_hint, merge: bool) -> DecodeResult:
+def _decode(meas, ensemble, params, K_hint, multicolor: bool) -> DecodeResult:
+    """Both decoders: the scalar engine seeds with the singletons, and for
+    Unicolor also one doubleton pass after which only the largest cluster
+    stays colored; Multicolor keeps every cluster. The growth phase is the
+    same for both, on the round engine from ``ROUND_ENGINE_MIN_BINS`` bins
+    on."""
     K_hint = _count(K_hint, "K_hint")
     if params is not None and params != meas.params:
         raise ParameterError(f"params {params} differ from the measurements' {meas.params}")
-    grow = _RoundEngine if meas.M >= ROUND_ENGINE_MIN_BINS else None
-    return _run(_Engine(meas, ensemble), K_hint, merge, grow)
+    engine = _Engine(meas, ensemble)
+    engine.phase_singletons()
+    if engine.ball_count == 0:
+        return _result(engine, K_hint, 1)
+    if not multicolor:
+        engine.phase_doubletons()
+        engine.restrict_to_component(engine.largest_root())
+    engine = _RoundEngine(engine) if engine.M >= ROUND_ENGINE_MIN_BINS else engine
+    return _result(engine, K_hint, (1 if multicolor else 2) + _grow(engine))
 
 
 def decode_unicolor(
@@ -1246,8 +1245,9 @@ def decode_unicolor(
     K_hint: int = 0,
 ) -> DecodeResult:
     """Single-cluster decode: singletons, one doubleton-merge pass to seed the
-    largest cluster, uncolor everything else, then grow that cluster with
-    resolvable multitons until a sweep changes nothing.
+    largest cluster, uncolor everything else, then the growth phase both
+    decoders share, until a sweep changes nothing. Since one cluster grows,
+    the growth only resolves multitons: no bin ever holds two colors.
 
     FullRecovery means that the cluster explains every lit bin (see the
     module docstring); ``K_hint`` only scales ``fraction_recovered``, 1.0
@@ -1257,7 +1257,7 @@ def decode_unicolor(
 
     The decode depends on ``meas`` and ``ensemble`` alone: the modulation is
     ``meas.params``, and a ``params`` other than None must equal it."""
-    return _decode(meas, ensemble, params, K_hint, merge=False)
+    return _decode(meas, ensemble, params, K_hint, multicolor=False)
 
 
 def decode_multicolor(
@@ -1266,9 +1266,10 @@ def decode_multicolor(
     params: ModulationParams | None = None,
     K_hint: int = 0,
 ) -> DecodeResult:
-    """Many-cluster decode: singletons, then repeated sweeps that both resolve
-    multitons and merge two-color bins until one changes nothing, finally
-    reporting the largest cluster.
+    """Many-cluster decode: singletons, each a cluster of its own, then the
+    growth phase both decoders share: sweeps that resolve multitons and
+    merge two-color bins until one changes nothing. The largest cluster is
+    reported.
 
     FullRecovery means that one cluster holds every colored ball and
     explains every lit bin (see the module docstring); ``K_hint`` only
@@ -1278,7 +1279,7 @@ def decode_multicolor(
 
     The decode depends on ``meas`` and ``ensemble`` alone: the modulation is
     ``meas.params``, and a ``params`` other than None must equal it."""
-    return _decode(meas, ensemble, params, K_hint, merge=True)
+    return _decode(meas, ensemble, params, K_hint, multicolor=True)
 
 
 def get_decoder(algorithm: str) -> Callable[..., DecodeResult]:

@@ -14,9 +14,8 @@ def concentration_trial(args) -> tuple[float, float]:
     phase and the growth sweeps.
 
     Returns (p2, final): the fraction of balls outside the surviving cluster
-    right after seeding, and the uncolored fraction after ``sweeps`` growth
-    passes."""
-    master, trial, n, K, d, c, sweeps = args
+    right after seeding, and the uncolored fraction once the growth stops."""
+    master, trial, n, K, d, c = args
     M = math.ceil(c * K)
     signal = generate_signal(n, K, mix64(master, trial, 0))
     ens = build_balls_and_bins(n, M, d, mix64(master, trial, 1))
@@ -30,6 +29,6 @@ def concentration_trial(args) -> tuple[float, float]:
         return 1.0, 1.0
     p2 = 1.0 - len(engine.forest.members(root)) / K
     engine.restrict_to_component(root)
-    dec._grow(engine, merge=False, cap=sweeps)
+    dec._grow(engine)
     final = 1.0 - engine.forest.ball_count / K
     return p2, final

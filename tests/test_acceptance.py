@@ -444,7 +444,9 @@ def test_criterion_8_fourier_operator_identities():
 
 def test_criterion_9_concentration():
     K, d, c, n, sweeps, trials = 5000, 7, 3.32, 1_000_000, 50, 200
-    tasks = [(99, t, n, K, d, c, sweeps) for t in range(trials)]
+    # the decodes grow until a sweep changes nothing, well within the
+    # recursion's 50 sweeps
+    tasks = [(99, t, n, K, d, c) for t in range(trials)]
     with ProcessPoolExecutor(max_workers=THREADS) as pool:
         results = list(pool.map(concentration_trial, tasks, chunksize=8))
     p2_mean = float(np.mean([r[0] for r in results]))

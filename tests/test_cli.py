@@ -116,19 +116,38 @@ MALFORMED_COUNTS = {
     "crt-compare --K-list ,": ["crt-compare", "--coprimes", "7,9,11", "--K-list", ","],
     "ff-verify --n-list ,": ["ff-verify", "--n-list", ","],
     "design --d 10..4": ["design", "--d", "10..4"],
+    "ff-verify --checks 0": ["ff-verify", "--n-list", "60", "--checks", "0"],
+    "ff-verify --checks -5": ["ff-verify", "--checks", "-5"],
+    "simulate --threads 0": ["simulate", "--n", "1000", "--K", "10", "--c", "3.5", "--trials", "1", "--threads", "0"],
+    "simulate --threads -4": ["simulate", "--n", "1000", "--K", "10", "--c", "3.5", "--trials", "1", "--threads", "-4"],
+    "simulate config threads=0": ["simulate", "--config", "{threads_config}"],
+    "crt-compare --threads 0": [
+        "crt-compare", "--coprimes", "7,9,11", "--K-list", "5", "--trials", "1", "--threads", "0"
+    ],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
 def test_malformed_counts_are_config_errors(case, tmp_path, capsys):
-    # a trial count below 1, an empty list or a reversed range is refused
-    # before any work, never run as zero trials or the default sizes
-    config = tmp_path / "zero.cfg"
+    # a trial, check or thread count below 1, an empty list or a reversed
+    # range is refused before any work, never run as zero trials, serially
+    # or with the default sizes
+    config, threads_config = tmp_path / "zero.cfg", tmp_path / "threads.cfg"
     config.write_text("n=1000\nK=10\nc=3.5\ntrials=0\n")
-    assert main([arg.format(config=config) for arg in MALFORMED_COUNTS[case]]) == 2
+    threads_config.write_text("n=1000\nK=10\nc=3.5\ntrials=1\nthreads=0\n")
+    argv = [arg.format(config=config, threads_config=threads_config) for arg in MALFORMED_COUNTS[case]]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error"), captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_library_calls_refuse_counts_below_one(count):
+    with pytest.raises(ParameterError, match="at least 1"):
+        run_ff_verify(n_list=[60], checks_per_case=count)
+    with pytest.raises(ParameterError, match="at least 1"):
+        run_simulation(ExperimentConfig(n=1000, K=10, c=3.5, trials=1, threads=count))
 
 
 def test_simulate_config_file_keeps_its_seed_and_trials(tmp_path):

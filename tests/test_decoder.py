@@ -503,7 +503,7 @@ def test_resident_elements_counts_the_engine_caches():
     sig, ens, params, meas = _random_instance(123, K=50)
     engine = dec._Engine(meas, ens)
     engine.phase_singletons()
-    dec._grow(engine, merge=True, cap=None)
+    dec._grow(engine)
     state = 5 * ens.M + sum(map(len, engine.discovered)) + 3 * engine.forest.ball_count
     caches = 4 * len(engine.coeff_cache) + (ens.d + 1) * len(engine.bins)
     assert len(engine.bins) >= engine.forest.ball_count > 0 and len(engine.coeff_cache) > 0

@@ -2,15 +2,17 @@
 
 Both decoders seed on the scalar ``_Engine``; on codes with at least
 ``ROUND_ENGINE_MIN_BINS`` bins the public decoders hand the growth phase to
-``_RoundEngine``. These tests run the growth on both engines through
-``decoder._run`` on the same inputs, the round engine also below the
-threshold. A round judges every bin against the state at its start and
-rotates merged components eagerly, so values differ from the scalar
-engine's in the last bits; statuses and supports must not, at n <= 1e10.
+``_RoundEngine``. These tests run the public decoders on the same inputs
+with the growth forced onto each engine by patching that constant, the
+round engine also below the threshold. A round judges every bin against the
+state at its start and rotates merged components eagerly, so values differ
+from the scalar engine's in the last bits; statuses and supports must not,
+at n <= 1e10.
 """
 from __future__ import annotations
 
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -32,8 +34,8 @@ class _CheckedHandOver(dec._RoundEngine):
     ``g`` and ``bins`` equal ``modulation_coeffs`` and ``bins_of`` (zero
     padded to the table's width) bit for bit."""
 
-    def __init__(self, seeded, roots):
-        super().__init__(seeded, roots)
+    def __init__(self, seeded):
+        super().__init__(seeded)
         ells = self.ell[1 : self.count].tolist()
         width = self.bins.shape[1]
         g = np.array([modulation_coeffs(self.params, ell) for ell in ells], dtype=np.complex128)
@@ -43,11 +45,20 @@ class _CheckedHandOver(dec._RoundEngine):
         assert self.bins[1 : self.count].tobytes() == bins.reshape(-1, width).tobytes()
 
 
-SCALAR, ROUNDS = None, _CheckedHandOver  # the growth engines ``_run`` can hand over to
+SCALAR, ROUNDS = sys.maxsize, 0  # ROUND_ENGINE_MIN_BINS growing on each engine
 
 
-def _decode(grow, alg, meas, ens, K, cap=None):
-    return dec._run(dec._Engine(meas, ens), K, alg == "multicolor", grow, cap=cap)
+@pytest.fixture
+def decode(monkeypatch):
+    """A public decode with the growth forced onto the scalar engine
+    (``SCALAR``) or onto the checked round engine (``ROUNDS``)."""
+    monkeypatch.setattr(dec, "_RoundEngine", _CheckedHandOver)
+
+    def run(min_bins, alg, meas, ens, K):
+        monkeypatch.setattr(dec, "ROUND_ENGINE_MIN_BINS", min_bins)
+        return dec.get_decoder(alg)(meas, ens, K_hint=K)
+
+    return run
 
 
 def _support(res) -> list[int]:
@@ -86,13 +97,13 @@ def test_above_threshold_cases_are_above_threshold():
     assert {meas.params.L % 2 for label, _, _, meas, _, _ in cases if "fourier" in label} == {0, 1}
 
 
-def test_round_engine_matches_the_scalar_engine():
+def test_round_engine_matches_the_scalar_engine(decode):
     """Equal statuses and supports on the reference panel and above the
     threshold. Over full recoveries, each round-engine value error is within
     1e-6 and their median is no worse than the scalar engine's."""
     errors = {SCALAR: [], ROUNDS: []}
     for case_id, alg, signal, meas, ens, K in [*panel_inputs(), *_above_threshold()]:
-        got = {engine: _decode(engine, alg, meas, ens, K) for engine in errors}
+        got = {engine: decode(engine, alg, meas, ens, K) for engine in errors}
         scalar, rounds = got[SCALAR], got[ROUNDS]
         assert rounds.status == scalar.status, case_id
         assert _support(rounds) == _support(scalar), case_id
@@ -129,7 +140,7 @@ def _large_case():
 
 
 @pytest.mark.parametrize("alg", dec.ALGORITHMS)
-def test_round_engine_edge_cases(alg):
+def test_round_engine_edge_cases(alg, decode):
     sig, meas, ens = _cascade_toy()
     assert ens.bins_many([1, 2, 6]).min() == 0  # rows padded with zeros
     sig2, meas2, ens2 = _no_singleton()
@@ -139,63 +150,82 @@ def test_round_engine_edge_cases(alg):
         ("no singleton", meas2, ens2, 4),
     ]
     for label, m, e, K in cases:
-        scalar = _decode(SCALAR, alg, m, e, K)
-        rounds = _decode(ROUNDS, alg, m, e, K)
+        scalar = decode(SCALAR, alg, m, e, K)
+        rounds = decode(ROUNDS, alg, m, e, K)
         assert (rounds.status, _support(rounds)) == (scalar.status, _support(scalar)), label
     for grow in (SCALAR, ROUNDS):  # K_hint = 0 still decodes the toy and certifies it
-        res = _decode(grow, alg, meas, ens, 0)
+        res = decode(grow, alg, meas, ens, 0)
         assert (res.status, _support(res), res.stats.unexplained_bins) == (FULL, [1, 2, 3, 4], 0)
         assert align_global_phase(res.recovered, sig) <= VALUE_TOL
-    assert _decode(ROUNDS, alg, meas2, ens2, 4).status is RecoveryStatus.FAILURE
-
-
-@pytest.mark.parametrize("alg", dec.ALGORITHMS)
-def test_max_sweeps_caps_rounds(alg):
-    """``_run``'s ``cap`` caps rounds, which peel one step each where a sweep
-    sees the bins it has already updated, so a capped decode is compared
-    with the uncapped one and the truth rather than with the scalar engine."""
-    seeding = 1 if alg == "multicolor" else 2
-    for sig, meas, ens, K in (_cascade_toy() + (4,), _large_case() + (400,)):
-        capped = _decode(ROUNDS, alg, meas, ens, K, 2)
-        full = _decode(ROUNDS, alg, meas, ens, K)
-        assert capped.stats.sweeps <= seeding + 2
-        assert set(_support(capped)) <= set(_support(full)) <= sig.value_map().keys()
-        if capped.stats.sweeps < full.stats.sweeps:
-            assert capped.status is not RecoveryStatus.FULL_RECOVERY
-    assert full.stats.sweeps > seeding + 2  # the large case needs more rounds than the cap
+    assert decode(ROUNDS, alg, meas2, ens2, 4).status is RecoveryStatus.FAILURE
 
 
 @pytest.mark.parametrize("alg", dec.ALGORITHMS)
 def test_first_round_skips_the_bins_the_seeding_verified(alg, monkeypatch):
     """A bin the singleton judge marked exhausted holds its ball alone, so
     the round engine keeps the mark wherever it keeps that ball, and its
-    first round does not judge the bin again."""
-    engines = []
+    first round does not judge the bin again. The marks are read before
+    Unicolor's restrict, so a restrict that dropped them would fail."""
+    engines, before_restrict = [], []
+    restrict = dec._Engine.restrict_to_component
+
+    def marks(engine):
+        """Bin -> members of every bin the seeding marked exhausted."""
+        marked = np.flatnonzero(np.frombuffer(engine.exhausted, dtype=bool)).tolist()
+        return {b0: engine.discovered[b0] for b0 in marked}
+
+    def recording_restrict(engine, root):
+        before_restrict.append(marks(engine))
+        restrict(engine, root)
 
     class Recording(dec._RoundEngine):
-        def __init__(self, seeded, roots):
-            super().__init__(seeded, roots)
+        def __init__(self, seeded):
+            super().__init__(seeded)
             kept = set(self.ell[1 : self.count].tolist())
-            marked = np.flatnonzero(np.frombuffer(seeded.exhausted, dtype=bool)).tolist()
-            assert all(len(seeded.discovered[b0]) == 1 for b0 in marked)
-            self.verified = {b0 for b0 in marked if seeded.discovered[b0][0] in kept}
+            marked = before_restrict[0] if before_restrict else marks(seeded)
+            assert all(len(mem) == 1 for mem in marked.values())
+            self.verified = {b0 for b0, mem in marked.items() if mem[0] in kept}
             self.judged = None
             engines.append(self)
 
-        def round(self, allow_merge):
+        def round(self):
             if self.judged is None:
                 self.judged = set(np.flatnonzero(self.dirty).tolist())
-            return super().round(allow_merge)
+            return super().round()
 
+    monkeypatch.setattr(dec._Engine, "restrict_to_component", recording_restrict)
     monkeypatch.setattr(dec, "_RoundEngine", Recording)
     _, meas, ens = _large_case()
     assert dec.get_decoder(alg)(meas, ens, K_hint=400).status is FULL
+    assert len(before_restrict) == (alg == "unicolor")
     (engine,) = engines
     assert engine.verified and engine.judged
     assert not engine.verified & engine.judged
 
 
-def test_round_engine_gives_no_confident_wrong_answer_at_n_1e12():
+@pytest.mark.parametrize("min_bins", [SCALAR, ROUNDS], ids=["scalar", "rounds"])
+def test_unicolor_grows_a_single_component(min_bins, decode, monkeypatch):
+    """Unicolor's seeding keeps one component, so every growth round holds
+    exactly one and no two-color bin can arise; the growth phase needs no
+    merge switch. Multicolor's first round on the same input holds many."""
+    held = []
+    for engine in (dec._Engine, _CheckedHandOver):
+        def counting_round(self, round=engine.round):
+            held.append(len(self.components))
+            return round(self)
+
+        monkeypatch.setattr(engine, "round", counting_round)
+    _, meas, ens = _large_case()
+    uni = decode(min_bins, "unicolor", meas, ens, 400)
+    assert uni.status is FULL
+    assert held == [1] * (uni.stats.sweeps - 2)  # two seeding phases, then the rounds
+    held.clear()
+    multi = decode(min_bins, "multicolor", meas, ens, 400)
+    assert multi.status is FULL
+    assert len(held) == multi.stats.sweeps - 1 and held[0] > 1 and held[-1] == 1
+
+
+def test_round_engine_gives_no_confident_wrong_answer_at_n_1e12(decode):
     """At n ~ 1.25e12, round(acos(.)/omega) can land on a neighbouring index
     from a last-bit difference, so the engines may disagree on a decode; the
     round engine must never report a wrong FullRecovery."""
@@ -207,8 +237,8 @@ def test_round_engine_gives_no_confident_wrong_answer_at_n_1e12():
         signal = generate_signal(crt.n, K, 900 + trial)
         meas = encode(signal, crt, ModulationParams.draw(crt.n, 1900 + trial))
         for alg in dec.ALGORITHMS:
-            scalar = _decode(SCALAR, alg, meas, crt, K)
-            rounds = _decode(ROUNDS, alg, meas, crt, K)
+            scalar = decode(SCALAR, alg, meas, crt, K)
+            rounds = decode(ROUNDS, alg, meas, crt, K)
             decodes += 1
             if rounds.status is FULL:
                 assert _recovered(rounds, signal), (trial, alg)
@@ -233,8 +263,8 @@ def test_public_decoders_pick_the_engine_by_code_size(monkeypatch):
     grown = []
 
     class Recording(dec._RoundEngine):
-        def __init__(self, seeded, roots):
-            super().__init__(seeded, roots)
+        def __init__(self, seeded):
+            super().__init__(seeded)
             grown.append(seeded.M)
 
     monkeypatch.setattr(dec, "_RoundEngine", Recording)
