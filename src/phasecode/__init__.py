@@ -40,15 +40,7 @@ from .measurement import (
     modulation_coeffs,
     row_tensor_product,
 )
-from .decoder import (
-    BinState,
-    ColorForest,
-    decode_multicolor,
-    decode_unicolor,
-    process_mergeable,
-    process_resolvable,
-    process_singleton,
-)
+from .decoder import decode_multicolor, decode_unicolor
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

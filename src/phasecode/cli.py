@@ -272,7 +272,7 @@ def _trial_worker(args) -> TrialRecord:
 
 def run_simulation(cfg: ExperimentConfig) -> SimulationSummary:
     """Monte Carlo sweep; deterministic given the master seed, regardless of
-    worker scheduling (records are merged by trial index). The pool takes
+    worker scheduling (``pool.map`` returns records in trial order). The pool takes
     one trial at a time, so no worker idles while another still holds a
     queued chunk."""
     cfg.resolve()
@@ -284,7 +284,6 @@ def run_simulation(cfg: ExperimentConfig) -> SimulationSummary:
                 records = list(pool.map(_trial_worker, tasks, chunksize=1))
         else:
             records = [run_one_trial(cfg, t) for t in range(cfg.trials)]
-        records.sort(key=lambda r: r.trial)
     successes = sum(r.success for r in records)
     lo, hi = wilson_interval(cfg.trials - successes, cfg.trials)
     return SimulationSummary(

@@ -88,6 +88,12 @@ batch. A round
   magnitudes) rather than the lowest bin cut the worst multicolor value
   error at n = 1e6, K = 1000, c = 2.75 from 6.5e-6 to 5.3e-7 over 200 seeds.
 
+The engine holds only state and scheduling. Its two judges are module-level
+functions of the bins they judge, ``_judge_one_color`` and
+``_judge_two_color``: each computes the margins of its bins (and the
+one-color judge their z) from their measurements, so that a test can run
+them one bin at a time against criterion 6's oracles.
+
 Seeding stays scalar although it could be batched too: a prototype that
 batched it ran the n = 1e10, K = 4000 unicolor decode in ~75 ms when the
 scalar-seeded decode took ~160 ms (it takes about 90 ms now), but Unicolor
@@ -109,7 +115,10 @@ more rounds than sweeps: over four signals at n = 1e10, K = 4000 the
 ``sweeps`` statistic is 11 to 14 for Unicolor where the scalar engine
 reports 7 or 8, and 8 for Multicolor where it reports 4.
 Supports equal the scalar engine's up to the ill-conditioned locations of
-very large n; values differ in the last bits.
+very large n and, in Fourier mode at odd n, the half-integer alias
+candidates, which the two engines can round to neighbouring indices (numpy's
+``arccos`` and libm's ``acos`` differ by an ulp there); values differ in the
+last bits.
 
 The decode is graded on what it observed, by one rule for both engines
 (``_result``). The judges mark a bin exhausted when its members reproduce
@@ -281,8 +290,8 @@ class BinState:
 # Location candidates
 # ---------------------------------------------------------------------------
 
-def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
-    """Integer indices ell with |cos(omega*ell)| = cos_abs.
+def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int]:
+    """Integer indices ell in [1, n] with |cos(omega*ell)| = cos_abs.
 
     General mode (omega = pi/2n): cos is nonnegative and injective over the
     index range, so there is a single candidate. Fourier mode (omega = 2pi/n):
@@ -290,11 +299,6 @@ def location_candidates(cos_abs: float, params: ModulationParams) -> list[int]:
     the caller must disambiguate via the check measurements and the bin
     membership constraint.
     """
-    return _candidates(cos_abs, params.omega, params.n, params.mode == FOURIER)
-
-
-def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int]:
-    """``location_candidates`` for a judge that has read omega already."""
     a = math.acos(0.0 if cos_abs < 0.0 else 1.0 if cos_abs > 1.0 else cos_abs)
     if not fourier:
         ell = round(a / omega)
@@ -308,7 +312,7 @@ def _candidates(cos_abs: float, omega: float, n: int, fourier: bool) -> list[int
 
 
 def _locations(cos_abs: np.ndarray, params: ModulationParams) -> np.ndarray:
-    """``location_candidates`` over an array: the candidates of each entry
+    """``_candidates`` over an array: the candidates of each entry
     along a new last axis, in the same order, with 0 where a slot holds no
     candidate or repeats an earlier one."""
     a = np.arccos(np.clip(cos_abs, 0.0, 1.0))
@@ -615,6 +619,107 @@ def process_resolvable(
     return ell, x
 
 
+def _is_colored(colored: set[int], ells: np.ndarray) -> np.ndarray:
+    """Which of ``ells`` are in the set ``colored``."""
+    return np.array([ell in colored for ell in ells.tolist()], dtype=bool)
+
+
+def _judge_one_color(y, sums, B, params: ModulationParams, ensemble, colored: set[int]):
+    """``_resolvable_full`` over the one-color bins ``B`` (0-based) of the
+    measurements ``y`` (a row of four per bin of the code), whose members
+    sum to ``sums`` (a row of four per bin of ``B``); no candidate in
+    ``colored`` is taken, and membership is ``ensemble.bins_many``. Returns
+    the exhausted mask over ``B``; per resolved bin its position in ``B``,
+    the new ball, its value, its weights and its bins; and the (bin, ball)
+    pairs of the hits that bins rejected as aliases of another hit."""
+    y = y[B]
+    y1, y2, y3 = y[:, 0], y[:, 1], y[:, 2]
+    scale = y.max(axis=1)
+    t = DEFAULT_TOL * scale
+    mag = np.abs(sums)
+    exhausted = (np.abs(mag - y) <= t[:, None]).all(axis=1) & (scale > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
+        # the bins whose measurements admit "members plus one unknown"
+        p = np.flatnonzero((y1 > t) & (y2 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL) & (mag[:, 2] > t) & ~exhausted)
+        kk = (y3[p] / mag[p, 2]) ** 2
+        a, b, c = sums[p, 0], sums[p, 1], sums[p, 2]
+        # rows: the two z = (y1/y2) exp(+-i alpha0) of _resolvable_full
+        z = (y1[p] / y2[p]) * np.exp(1j * _SIGNS * np.arccos(carg[p].clip(-1.0, 1.0)))
+        qa, qb, qc = _one_unknown_quadratic(z, z * b - a, c, kk)
+        disc = qb * qb - 4.0 * qa * qc
+        ok = (qa > 0.0) & (disc >= -DEFAULT_TOL * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
+        # axes: sign, root of the quadratic (+sqrt first), bin
+        u = (-qb[:, None] + _SIGNS.T[:, :, None] * np.sqrt(np.maximum(disc, 0.0))[:, None]) / (2.0 * qa)[:, None]
+        ok = ok[:, None] & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+        cand = _locations(np.sqrt(u.clip(0.0, 1.0)), params)
+        cand[~ok] = 0
+        # per bin: sign, then root, then location, as in _resolvable_full
+        per_sign = 2 * cand.shape[-1]
+        cand = cand.transpose(2, 0, 1, 3).reshape(len(p), 2 * per_sign)
+        i, j = cand.nonzero()
+        ells = cand[i, j]
+        zc = z[j // per_sign, i]
+        # the three rows that need only g1 = exp(i omega ell) first, as in
+        # _coeffs_many; the check row, the colored test and membership
+        # then run on the few candidates left
+        g1 = np.exp(1j * (params.omega * ells))
+        g2 = np.conj(g1)
+        denom = g1 - zc * g2
+        x = (zc * b[i] - a[i]) / denom
+        bi, ti = p[i], t[p[i]]
+        keep = (
+            (np.abs(denom) > 1e-14)
+            & (np.abs(np.abs(sums[bi, 0] + g1 * x) - y[bi, 0]) <= ti)
+            & (np.abs(np.abs(sums[bi, 1] + g2 * x) - y[bi, 1]) <= ti)
+            & (np.abs(np.abs(sums[bi, 2] + 2.0 * g1.real * x) - y[bi, 2]) <= ti)
+        )
+    i, ells, x = i[keep], ells[keep], x[keep]
+    g = _coeffs_many(params, ells).T
+    bi = p[i]
+    keep = ~_is_colored(colored, ells) & (np.abs(np.abs(sums[bi, 3] + g[:, 3] * x) - y[bi, 3]) <= t[bi])
+    i, ells, x, g = i[keep], ells[keep], x[keep], g[keep]
+    # membership is the costly filter; apply it last
+    rows = ensemble.bins_many(ells)
+    keep = (rows == B[p[i], None] + 1).any(axis=1)
+    i, ells, x, g, rows = i[keep], ells[keep], x[keep], g[keep], rows[keep]
+    hits = (p[i], ells, x, g, rows)
+    aliased = np.zeros(0, dtype=np.int64)
+    if (i[1:] == i[:-1]).any():
+        # exactly one hit per bin: every hit must repeat the bin's first one
+        first = np.concatenate(([True], i[1:] != i[:-1]))
+        lead = np.maximum.accumulate(np.where(first, np.arange(len(i)), 0))
+        same = (ells == ells[lead]) & (np.abs(x - x[lead]) <= 1e-9 * np.maximum(1.0, np.abs(x)))
+        alias = np.zeros(len(p), dtype=bool)
+        alias[i[~same]] = True
+        take = np.flatnonzero(first & ~alias[i])
+        hits = tuple(v[take] for v in hits)
+        aliased = np.flatnonzero(alias[i])
+    return exhausted, hits, (B[p[i[aliased]]], ells[aliased])
+
+
+def _judge_two_color(y: np.ndarray, rs: np.ndarray, bs: np.ndarray):
+    """``process_mergeable`` over two-color bins with measurements ``y`` and
+    class sums ``rs`` and ``bs`` (a row of four per bin each). Returns the
+    accepted mask; psi, such that the b-class values times exp(i psi) are in
+    the r-class frame; and how well each psi is conditioned, sin(gamma)
+    times the two class magnitudes over y1**2 (the cosine law loses
+    precision as gamma nears 0 or pi, or a class sum nears 0)."""
+    scale = y.max(axis=1)
+    t = DEFAULT_TOL * scale
+    r1, b1 = np.abs(rs[:, 0]), np.abs(bs[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        carg = (y[:, 0] * y[:, 0] - r1**2 - b1**2) / (2.0 * r1 * b1)
+        ok = (scale > 0.0) & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
+    psi = _SIGNS * np.arccos(carg.clip(-1.0, 1.0)) + (np.angle(rs[:, 0]) - np.angle(bs[:, 0]))
+    synth = np.abs(rs + np.exp(1j * psi)[:, :, None] * bs)
+    passes = (np.abs(synth - y) <= t[:, None]).all(axis=2)
+    same = np.abs(np.exp(1j * (psi[1] - psi[0])) - 1.0) <= 1e-9
+    ok &= (passes[0] ^ passes[1]) | (passes[0] & passes[1] & same)
+    conditioning = np.sqrt(np.maximum(1.0 - carg * carg, 0.0)) * r1 * b1 / (y[:, 0] * y[:, 0])
+    return ok, np.where(passes[0], psi[0], psi[1]), conditioning
+
+
 # ---------------------------------------------------------------------------
 # Decode engine
 # ---------------------------------------------------------------------------
@@ -886,16 +991,6 @@ class _RoundEngine:
         self.params = seeded.params
         self.M = seeded.M
         self.y = seeded.y
-        y1, y2, y3 = self.y[:, 0], self.y[:, 1], self.y[:, 2]
-        scale = self.y.max(axis=1, initial=0.0)
-        self.nonzero = scale > 0.0  # bins with a nonzero measurement
-        self.t = DEFAULT_TOL * scale  # per-bin acceptance margin
-        with np.errstate(divide="ignore", invalid="ignore"):
-            carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
-            # the bins whose measurements admit "members plus one unknown",
-            # and the two z = (y1/y2) exp(+-i alpha0) of _resolvable_full
-            self.open = (y1 > self.t) & (y2 > self.t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
-            self.z = (y1 / y2) * np.exp(1j * _SIGNS * np.arccos(carg.clip(-1.0, 1.0)))
         self.stats = seeded.stats
         slots = self.M // 2 + 1  # room for M/2 balls before the first growth
         self.count = 1
@@ -929,10 +1024,6 @@ class _RoundEngine:
     @property
     def ball_count(self) -> int:
         return self.count - 1
-
-    def is_colored(self, ells: np.ndarray) -> np.ndarray:
-        colored = self.colored
-        return np.array([ell in colored for ell in ells.tolist()], dtype=bool)
 
     def add_balls(self, ells, vals, roots, g, bins) -> None:
         """Color balls into the components ``roots`` (root slots); row i of
@@ -973,95 +1064,6 @@ class _RoundEngine:
         self.dirty[b0] = True
         self.exhausted[b0] = False
 
-    # -- vectorized bin processors -------------------------------------------
-
-    def _resolve(self, B: np.ndarray, sums: np.ndarray):
-        """``_resolvable_full`` over the one-color bins ``B`` (0-based) whose
-        members sum to ``sums`` (a row of four per bin). Returns the exhausted
-        mask over ``B``; per resolved bin its position in ``B``, the new ball,
-        its value, its weights and its bins; and the (bin, ball) pairs of the
-        hits that bins rejected as aliases of another hit."""
-        y = self.y[B]
-        t = self.t[B]
-        mag = np.abs(sums)
-        exhausted = (np.abs(mag - y) <= t[:, None]).all(axis=1) & self.nonzero[B]
-        p = np.flatnonzero(self.open[B] & (mag[:, 2] > t) & ~exhausted)
-        kk = (y[p, 2] / mag[p, 2]) ** 2
-        a, b, c = sums[p, 0], sums[p, 1], sums[p, 2]
-        z = self.z[:, B[p]]  # rows: both signs of alpha0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            qa, qb, qc = _one_unknown_quadratic(z, z * b - a, c, kk)
-            disc = qb * qb - 4.0 * qa * qc
-            ok = (qa > 0.0) & (disc >= -DEFAULT_TOL * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
-            # axes: sign, root of the quadratic (+sqrt first), bin
-            u = (-qb[:, None] + _SIGNS.T[:, :, None] * np.sqrt(np.maximum(disc, 0.0))[:, None]) / (2.0 * qa)[:, None]
-            ok = ok[:, None] & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-            cand = _locations(np.sqrt(u.clip(0.0, 1.0)), self.params)
-            cand[~ok] = 0
-            # per bin: sign, then root, then location, as in _resolvable_full
-            per_sign = 2 * cand.shape[-1]
-            cand = cand.transpose(2, 0, 1, 3).reshape(len(p), 2 * per_sign)
-            i, j = cand.nonzero()
-            ells = cand[i, j]
-            zc = z[j // per_sign, i]
-            # the three rows that need only g1 = exp(i omega ell) first, as in
-            # _coeffs_many; the check row, the colored test and membership
-            # then run on the few candidates left
-            g1 = np.exp(1j * (self.params.omega * ells))
-            g2 = np.conj(g1)
-            denom = g1 - zc * g2
-            x = (zc * b[i] - a[i]) / denom
-            bi, ti = p[i], t[p[i]]
-            keep = (
-                (np.abs(denom) > 1e-14)
-                & (np.abs(np.abs(sums[bi, 0] + g1 * x) - y[bi, 0]) <= ti)
-                & (np.abs(np.abs(sums[bi, 1] + g2 * x) - y[bi, 1]) <= ti)
-                & (np.abs(np.abs(sums[bi, 2] + 2.0 * g1.real * x) - y[bi, 2]) <= ti)
-            )
-        i, ells, x = i[keep], ells[keep], x[keep]
-        g = _coeffs_many(self.params, ells).T
-        bi = p[i]
-        keep = ~self.is_colored(ells) & (np.abs(np.abs(sums[bi, 3] + g[:, 3] * x) - y[bi, 3]) <= t[bi])
-        i, ells, x, g = i[keep], ells[keep], x[keep], g[keep]
-        # membership is the costly filter; apply it last
-        rows = self.ensemble.bins_many(ells)
-        keep = (rows == B[p[i], None] + 1).any(axis=1)
-        i, ells, x, g, rows = i[keep], ells[keep], x[keep], g[keep], rows[keep]
-        hits = (p[i], ells, x, g, rows)
-        aliased = np.zeros(0, dtype=np.int64)
-        if (i[1:] == i[:-1]).any():
-            # exactly one hit per bin: every hit must repeat the bin's first one
-            first = np.concatenate(([True], i[1:] != i[:-1]))
-            lead = np.maximum.accumulate(np.where(first, np.arange(len(i)), 0))
-            same = (ells == ells[lead]) & (np.abs(x - x[lead]) <= 1e-9 * np.maximum(1.0, np.abs(x)))
-            alias = np.zeros(len(p), dtype=bool)
-            alias[i[~same]] = True
-            take = np.flatnonzero(first & ~alias[i])
-            hits = tuple(v[take] for v in hits)
-            aliased = np.flatnonzero(alias[i])
-        return exhausted, hits, (B[p[i[aliased]]], ells[aliased])
-
-    def _merge(self, B: np.ndarray, rs: np.ndarray, bs: np.ndarray):
-        """``process_mergeable`` over the two-color bins ``B`` with class sums
-        ``rs`` and ``bs`` (a row of four per bin each). Returns the accepted
-        mask; psi, such that the b-class values times exp(i psi) are in the
-        r-class frame; and how well each psi is conditioned, sin(gamma) times
-        the two class magnitudes over y1**2 (the cosine law loses precision
-        as gamma nears 0 or pi, or a class sum nears 0)."""
-        y = self.y[B]
-        t = self.t[B]
-        r1, b1 = np.abs(rs[:, 0]), np.abs(bs[:, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            carg = (y[:, 0] * y[:, 0] - r1**2 - b1**2) / (2.0 * r1 * b1)
-            ok = self.nonzero[B] & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
-        psi = _SIGNS * np.arccos(carg.clip(-1.0, 1.0)) + (np.angle(rs[:, 0]) - np.angle(bs[:, 0]))
-        synth = np.abs(rs + np.exp(1j * psi)[:, :, None] * bs)
-        passes = (np.abs(synth - y) <= t[:, None]).all(axis=2)
-        same = np.abs(np.exp(1j * (psi[1] - psi[0])) - 1.0) <= 1e-9
-        ok &= (passes[0] ^ passes[1]) | (passes[0] & passes[1] & same)
-        conditioning = np.sqrt(np.maximum(1.0 - carg * carg, 0.0)) * r1 * b1 / (y[:, 0] * y[:, 0])
-        return ok, np.where(passes[0], psi[0], psi[1]), conditioning
-
     # -- rounds ---------------------------------------------------------------
 
     def round(self) -> bool:
@@ -1092,16 +1094,17 @@ class _RoundEngine:
         if one.any():
             R = np.flatnonzero(one)
             sums = np.add.reduceat(contrib, starts)[R]
-            exhausted, (pos, ells, x, g, rows), (alias_bins, aliases) = self._resolve(B[R], sums)
+            verdicts = _judge_one_color(self.y, sums, B[R], self.params, self.ensemble, self.colored)
+            exhausted, (pos, ells, x, g, rows), (alias_bins, aliases) = verdicts
             self.exhausted[B[R[exhausted]]] = True
             changed = self._color(B[R[pos]], ells, x, first[R[pos]], g, rows, joined)
             # colored candidates are skipped, so coloring an alias can settle its bin
-            self.dirty[alias_bins[self.is_colored(aliases)]] = True
+            self.dirty[alias_bins[_is_colored(self.colored, aliases)]] = True
         if two.any():
             T = np.flatnonzero(two)
             rs = np.add.reduceat(np.where(in_first[:, None], contrib, 0), starts)[T]
             bs = np.add.reduceat(np.where(in_first[:, None], 0, contrib), starts)[T]
-            ok, psi, conditioning = self._merge(B[T], rs, bs)
+            ok, psi, conditioning = _judge_two_color(self.y[B[T]], rs, bs)
             # best-conditioned verdicts first: a pair of components that
             # several bins would merge takes the most precise rotation
             order = np.flatnonzero(ok)[np.argsort(-conditioning[ok], kind="stable")]

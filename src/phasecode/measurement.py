@@ -202,16 +202,6 @@ def row_tensor_product(G: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def modulation_matrix(params: ModulationParams) -> np.ndarray:
-    """Dense 4 x n modulation matrix (small-n helper for the dense oracle)."""
-    if params.n > 100_000:
-        raise ParameterError("dense modulation matrix refused for large n")
-    G = np.zeros((4, params.n), dtype=np.complex128)
-    for ell in range(1, params.n + 1):
-        G[:, ell - 1] = modulation_coeffs(params, ell)
-    return G
-
-
 # ---------------------------------------------------------------------------
 # Measurement file format: header "M n L", then M lines "y1 y2 y3 y4"
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from phasecode.decoder import (
     decode_multicolor,
     decode_unicolor,
     get_decoder,
-    location_candidates,
     process_mergeable,
     process_resolvable,
     process_singleton,
@@ -322,19 +321,57 @@ def test_engine_cache_holds_exact_weights_of_colored_balls_only(monkeypatch):
 # Location candidates
 # ---------------------------------------------------------------------------
 
-def test_location_candidates_general_single():
+def _both_location_steps(cos_abs: np.ndarray, params: ModulationParams):
+    """Per entry of ``cos_abs``: ``_candidates`` and the nonzero slots of
+    ``_locations``, in slot order."""
+    fourier = params.mode == FOURIER
+    scalar = [dec._candidates(v, params.omega, params.n, fourier) for v in cos_abs.tolist()]
+    batch = [[ell for ell in row if ell] for row in dec._locations(cos_abs, params).tolist()]
+    return scalar, batch
+
+
+def _lattice(params: ModulationParams, ells) -> np.ndarray:
+    return np.array([abs(math.cos(params.omega * ell)) for ell in ells])
+
+
+def test_locations_match_candidates():
+    """The batch location step the round engine's judge uses, entry by entry
+    against the scalar one. General mode: identical on lattice values
+    |cos(omega ell)| and the edges. Fourier mode: identical at even n; at
+    odd n the two half-integer aliases pi -+ a may round to neighbouring
+    indices, since numpy's arccos and libm's acos can differ by one ulp
+    there. Such a candidate lies half an index off the cosine, so it is
+    never a ball."""
+    rng = np.random.default_rng(11)
     params = ModulationParams(n=1000, L=3)
-    for ell in (1, 250, 999, 1000):
-        cands = location_candidates(math.cos(params.omega * ell), params)
-        assert cands == [ell]
+    scalar, batch = _both_location_steps(_lattice(params, [1, 250, 999, 1000]), params)
+    assert scalar == batch == [[1], [250], [999], [1000]]
+    params = ModulationParams(n=1000, L=3, mode=FOURIER)
+    scalar, batch = _both_location_steps(_lattice(params, [123]), params)
+    assert scalar == batch == [[123, 377, 623, 877]]  # ell, n/2 -+ ell, n - ell
 
+    for n in (512, 10**10):
+        params = ModulationParams(n=n, L=3)
+        ells = [1, n, *rng.integers(1, n + 1, 20_000).tolist()]
+        scalar, batch = _both_location_steps(np.concatenate(([0.0, 1.0], _lattice(params, ells))), params)
+        assert scalar == batch, n
 
-def test_location_candidates_fourier_enumerates_aliases():
-    n = 1000
-    params = ModulationParams(n=n, L=3, mode=FOURIER)
-    ell = 123
-    cands = location_candidates(abs(math.cos(params.omega * ell)), params)
-    assert set(cands) == {123, 377, 623, 877}  # ell, n/2 +- ell, n - ell
+    differ = {}
+    for n in (512, 511, 323_323):
+        params = ModulationParams(n=n, L=3, mode=FOURIER)
+        ells = rng.integers(1, n + 1, 20_000).tolist()
+        scalar, batch = _both_location_steps(np.concatenate(([0.0, 1.0], _lattice(params, ells))), params)
+        assert scalar[:2] == batch[:2], n
+        differ[n] = 0
+        for ell, a, b in zip(ells, scalar[2:], batch[2:]):
+            # the slots of ell and n - ell agree; a slot that differs is a
+            # half-integer alias, rounded to one or the other neighbour
+            assert len(a) == len(b) and ell in a and ell in b, (n, ell, a, b)
+            off = [k for k in range(len(a)) if a[k] != b[k]]
+            assert all(abs(a[k] - b[k]) == 1 and {a[k], b[k]}.isdisjoint({ell, n - ell}) for k in off), (n, ell, a, b)
+            differ[n] += len(off)
+    print(f"\n[locations] half-integer aliases rounded apart: {differ}")
+    assert differ[512] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ from phasecode.measurement import (
     _coeffs_many,
     encode,
     modulation_coeffs,
-    modulation_matrix,
     read_measurements,
     row_tensor_product,
     write_measurements,
 )
 
-from oracles import scalar_encode
+from oracles import _coeff_table, scalar_encode
 
 # reference row-tensor-product worked example: 3x3 H and 2x3 G
 EXAMPLE_H = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float)
@@ -164,7 +163,7 @@ def test_encode_matches_dense_oracle():
     meas = encode(sig, ens, params)
     from phasecode.ensemble import dense_matrix
 
-    A = row_tensor_product(modulation_matrix(params), dense_matrix(ens).astype(float))
+    A = row_tensor_product(_coeff_table(params), dense_matrix(ens).astype(float))
     y_dense = np.abs(A @ sig.dense()).reshape(40, 4)
     assert np.max(np.abs(y_dense - meas.y)) < 1e-12
 

@@ -122,14 +122,17 @@ def test_reference_panel_covers_every_outcome():
 
 
 MASKLENS_COPRIMES = (7, 11, 13, 17, 19)
+ROUND_FOURIER_COPRIMES = (11, 13, 17, 19, 23)  # alpha = 2: M = 1377, odd n = 1,062,347
 
 
 def digest_parts():
     """Yield (part, list of (algorithm, measurements, ensemble, K)) for the
     digest panel: the pinned panel above, the mask/lens code in Fourier mode
     (K = 12, the first 16 spectra through explicit mask/lens acquisition),
-    both criterion-4-shaped codes (K cycling 107..170), and balls-and-bins
-    codes at n = 1e6, K = 1000 and at n = 1e10, K = 4000."""
+    both criterion-4-shaped codes (K cycling 107..170), balls-and-bins
+    codes at n = 1e6, K = 1000 and at n = 1e10, K = 4000, and a CRT code in
+    Fourier mode with odd n and enough bins to grow on the round engine
+    (implicit acquisition, K cycling 300..390)."""
     yield "reference", [(alg, meas, ens, K) for _, alg, _, meas, ens, K in panel_inputs()]
     ff = build_crt(MASKLENS_COPRIMES)
     cases = []
@@ -163,6 +166,14 @@ def digest_parts():
             meas = encode(signal, ens, ModulationParams.draw(n, s_mod))
             cases += [(alg, meas, ens, K) for alg in DECODERS]
         yield f"n={label} K={K}", cases
+    ff = build_crt(ROUND_FOURIER_COPRIMES, alpha=2)
+    cases = []
+    for trial in range(60):
+        K = 300 + 10 * (trial % 10)
+        s_sig, _, s_mod = _seeds(600, trial)
+        meas = ff_sparse_acquire_implicit(generate_signal(ff.n, K, s_sig), ff, s_mod)
+        cases += [(alg, meas, ff, K) for alg in DECODERS]
+    yield "fourier rounds", cases
 
 
 def _fingerprint(res) -> bytes:

@@ -7,10 +7,12 @@ with the growth forced onto each engine by patching that constant, the
 round engine also below the threshold. A round judges every bin against the
 state at its start and rotates merged components eagerly, so values differ
 from the scalar engine's in the last bits; statuses and supports must not,
-at n <= 1e10.
+at n <= 1e10. The round engine's two judges also face criterion 6's
+oracles, one bin at a time.
 """
 from __future__ import annotations
 
+import cmath
 import statistics
 import sys
 
@@ -18,11 +20,18 @@ import numpy as np
 import pytest
 
 import phasecode.decoder as dec
-from helpers import random_value, signal_from_pairs
+from helpers import (
+    bin_measurements,
+    make_mergeable_case,
+    make_resolvable_case,
+    random_value,
+    signal_from_pairs,
+)
+from oracles import oracle_mergeable, oracle_resolvable
 from phasecode.core import RecoveryStatus, align_global_phase, generate_signal
 from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins, build_crt
 from phasecode.fourier import ff_sparse_acquire_implicit
-from phasecode.measurement import ModulationParams, encode, modulation_coeffs
+from phasecode.measurement import FOURIER, ModulationParams, _coeffs_many, encode, modulation_coeffs
 from test_reference_panel import CRITERION_4_COPRIMES, panel_inputs
 
 FULL = RecoveryStatus.FULL_RECOVERY
@@ -275,3 +284,109 @@ def test_public_decoders_pick_the_engine_by_code_size(monkeypatch):
         for decode in (dec.decode_unicolor, dec.decode_multicolor):
             decode(meas, ens, meas.params, K_hint=50)
     assert grown == [dec.ROUND_ENGINE_MIN_BINS] * 2
+
+
+class _EveryBallInBinOne:
+    """A stand-in code under which every ball is a member of bin 1, so that
+    the batch judges, like criterion 6's scalar ones, judge a bin with no
+    membership filter."""
+
+    @staticmethod
+    def bins_many(ells):
+        return np.ones((len(ells), 1), dtype=np.int64)
+
+
+def _sums(params, balls) -> np.ndarray:
+    """The four sums g_k(ell) * value over ``balls``."""
+    g = _coeffs_many(params, [ell for ell, _ in balls])
+    return (g * np.array([value for _, value in balls])).sum(axis=1)
+
+
+def _batch_resolvable(y, knowns, params):
+    """``_judge_one_color`` on one bin: (exhausted, hit or None)."""
+    exhausted, (_, ells, x, _, _), _ = dec._judge_one_color(
+        np.array([y]), _sums(params, knowns)[None], np.array([0]), params,
+        _EveryBallInBinOne, {ell for ell, _ in knowns},
+    )
+    return bool(exhausted[0]), ((int(ells[0]), complex(x[0])) if len(ells) else None)
+
+
+def _batch_mergeable(y, rs, bs):
+    """``_judge_two_color`` on one bin: psi, or None when it rejects."""
+    ok, psi, _ = dec._judge_two_color(np.array([y]), rs[None], bs[None])
+    return float(psi[0]) if ok[0] else None
+
+
+ORACLE_CASES = 400  # per setting, judge and truth value
+
+
+def test_batch_judges_agree_with_the_oracles():
+    """The round engine's judges on criterion 6's bins, one bin per call.
+    Where the resolvable oracle can search every index (n = 512 in both
+    modes, and the odd n = 511 in Fourier mode), the batch judges disagree with the
+    oracles no more often than the scalar processors do; at n = 1e10 every
+    batch resolvable verdict equals the scalar one, and merges still meet
+    the oracle, which does not depend on n. No batch judge accepts a wrong
+    hypothesis, and a bin holding only its knowns comes back exhausted."""
+    settings = [
+        ModulationParams(n=512, L=137),
+        ModulationParams(n=512, L=137, mode=FOURIER),
+        ModulationParams(n=511, L=137, mode=FOURIER),
+        ModulationParams.draw(10**10, 61),
+    ]
+    rng = np.random.default_rng(61)
+    report = []
+    for params in settings:
+        searchable = params.n <= 512
+        disagree = {"scalar resolvable": 0, "batch resolvable": 0, "scalar mergeable": 0, "batch mergeable": 0}
+        false_accepts = 0
+        accepts = {"resolvable": 0, "mergeable": 0}
+        for i in range(ORACLE_CASES):
+            for true_case in (True, False):
+                st, forest, knowns, unknowns = make_resolvable_case(rng, params, true_case, 1 + i % 3)
+                scalar = dec.process_resolvable(st, forest, params)
+                exhausted, batch = _batch_resolvable(st.y, knowns, params)
+                assert not exhausted
+                assert _batch_resolvable(bin_measurements(params, knowns), knowns, params) == (True, None)
+                accepts["resolvable"] += batch is not None
+                if batch is not None and (not true_case or batch[0] != unknowns[0][0]):
+                    false_accepts += 1
+                if searchable:
+                    ref = oracle_resolvable(st.y, knowns, params)
+                    for judge, got in (("scalar", scalar), ("batch", batch)):
+                        if (got is None) != (ref is None) or (
+                            got is not None and (got[0] != ref[0] or abs(got[1] - ref[1]) > 1e-6)
+                        ):
+                            disagree[f"{judge} resolvable"] += 1
+                else:
+                    assert (batch is None) == (scalar is None), (params, i, true_case)
+                    if batch is not None:
+                        assert batch[0] == scalar[0]
+                        assert abs(batch[1] - scalar[1]) <= 1e-9 * max(1.0, abs(scalar[1]))
+
+                st, forest, expected = make_mergeable_case(rng, params, true_case, (1 + i % 2, 1 + i // 2 % 2))
+                groups = {}
+                for ell in st.discovered:
+                    groups.setdefault(forest.find(ell), []).append(ell)
+                rs, bs = (_sums(params, [(ell, forest.value(ell)) for ell in mem]) for mem in groups.values())
+                ref = oracle_mergeable(st.y, rs, bs)
+                batch = _batch_mergeable(st.y, rs, bs)
+                scalar = dec.process_mergeable(st, forest, params)
+                accepts["mergeable"] += batch is not None
+                if batch is not None and (not true_case or abs(cmath.exp(1j * (batch - expected)) - 1.0) > 1e-6):
+                    false_accepts += 1
+                for judge, got in (("scalar", scalar), ("batch", batch)):
+                    disagree[f"{judge} mergeable"] += (got is None) != (ref is None)
+        report.append((params, disagree, accepts, false_accepts))
+    for params, disagree, accepts, false_accepts in report:
+        print(f"\n[batch judges, n={params.n} {params.mode}] oracle disagreements {disagree}, "
+              f"batch accepts {accepts}, false accepts {false_accepts}")
+    for params, disagree, accepts, false_accepts in report:
+        assert false_accepts == 0, params
+        # every true merge is taken, and every true resolvable bin whose
+        # unknown has no alias passing the same resynthesis (odd L at even
+        # n in Fourier mode makes ell and n/2 + ell such a pair)
+        assert accepts["mergeable"] == ORACLE_CASES, params
+        assert accepts["resolvable"] == ORACLE_CASES or params.mode == FOURIER and params.n % 2 == 0, params
+        for judge in ("resolvable", "mergeable"):
+            assert disagree[f"batch {judge}"] <= disagree[f"scalar {judge}"], (params, disagree)
