@@ -311,6 +311,14 @@ class BenchRow:
     fraction_recovered: float
 
 
+# Timed decodes of each bench input. A decode is a function of its
+# measurements and its code, so a repeat redoes the same work: the fastest
+# repeat is its cost with the machine's interruptions left out. The repeats
+# go over all inputs in turn, so a slow spell of the machine does not land
+# on one K alone.
+BENCH_REPEATS = 5
+
+
 def run_bench(
     n: int,
     K_list: list[int],
@@ -322,30 +330,33 @@ def run_bench(
 ) -> list[BenchRow]:
     """Decode-time scaling over K at fixed n; implicit ensembles only, so n
     can be astronomically large. Only the decode is timed, after a garbage
-    collection that keeps the set-up's garbage out of it."""
-    rows = []
+    collection that keeps the set-up's garbage out of it; a trial's time is
+    the fastest of ``BENCH_REPEATS`` decodes of its measurements."""
     decode = get_decoder(algorithm)
+    inputs = []
     for K in K_list:
         cfg = ExperimentConfig(n=n, K=K, d=d, M=math.ceil(c * K), seed=mix64(seed, K))
-        times = []
-        resident = 0
-        fractions = []
         for t in range(trials):
             _, signal, ens, params = _trial_inputs(cfg, t)
-            meas = encode(signal, ens, params)
+            inputs.append((K, encode(signal, ens, params), ens))
+    times = [math.inf] * len(inputs)
+    results = [None] * len(inputs)
+    for _ in range(BENCH_REPEATS):
+        for i, (K, meas, ens) in enumerate(inputs):
             # a full collection owed to earlier work would land in the timing
             gc.collect()
             t0 = time.perf_counter()
-            res = decode(meas, ens, K_hint=K)
-            times.append((time.perf_counter() - t0) * 1e3)
-            resident = max(resident, res.stats.resident_elements)
-            fractions.append(res.fraction_recovered)
+            results[i] = decode(meas, ens, K_hint=K)
+            times[i] = min(times[i], (time.perf_counter() - t0) * 1e3)
+    rows = []
+    for j, K in enumerate(K_list):
+        span = range(j * trials, (j + 1) * trials)
         rows.append(
             BenchRow(
                 K=K,
-                mean_decode_ms=sum(times) / len(times),
-                resident_elements=resident,
-                fraction_recovered=sum(fractions) / len(fractions),
+                mean_decode_ms=sum(times[i] for i in span) / trials,
+                resident_elements=max(results[i].stats.resident_elements for i in span),
+                fraction_recovered=sum(results[i].fraction_recovered for i in span) / trials,
             )
         )
     return rows

@@ -334,6 +334,18 @@ def _lattice(params: ModulationParams, ells) -> np.ndarray:
     return np.array([abs(math.cos(params.omega * ell)) for ell in ells])
 
 
+def test_location_candidates_general_single():
+    params = ModulationParams(n=1000, L=3)
+    scalar, batch = _both_location_steps(_lattice(params, [1, 250, 999, 1000]), params)
+    assert scalar == batch == [[1], [250], [999], [1000]]
+
+
+def test_location_candidates_fourier_enumerates_aliases():
+    params = ModulationParams(n=1000, L=3, mode=FOURIER)
+    scalar, batch = _both_location_steps(_lattice(params, [123]), params)
+    assert scalar == batch == [[123, 377, 623, 877]]  # ell, n/2 -+ ell, n - ell
+
+
 def test_locations_match_candidates():
     """The batch location step the round engine's judge uses, entry by entry
     against the scalar one. General mode: identical on lattice values
@@ -343,13 +355,6 @@ def test_locations_match_candidates():
     there. Such a candidate lies half an index off the cosine, so it is
     never a ball."""
     rng = np.random.default_rng(11)
-    params = ModulationParams(n=1000, L=3)
-    scalar, batch = _both_location_steps(_lattice(params, [1, 250, 999, 1000]), params)
-    assert scalar == batch == [[1], [250], [999], [1000]]
-    params = ModulationParams(n=1000, L=3, mode=FOURIER)
-    scalar, batch = _both_location_steps(_lattice(params, [123]), params)
-    assert scalar == batch == [[123, 377, 623, 877]]  # ell, n/2 -+ ell, n - ell
-
     for n in (512, 10**10):
         params = ModulationParams(n=n, L=3)
         ells = [1, n, *rng.integers(1, n + 1, 20_000).tolist()]
