@@ -28,17 +28,14 @@ from .ensemble import (
     BallsAndBinsEnsemble,
     CrtEnsemble,
     ExplicitEnsemble,
-    InducedGraph,
     build_balls_and_bins,
     build_crt,
-    induce_graph,
 )
 from .measurement import (
     MeasurementSet,
     ModulationParams,
     encode,
     modulation_coeffs,
-    row_tensor_product,
 )
 from .decoder import decode_multicolor, decode_unicolor
 

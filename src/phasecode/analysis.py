@@ -4,6 +4,12 @@ Everything here is K-free: feasibility and error floors are solved in terms of
 the bins-per-ball ratio c = M/K (equivalently the mean bin load
 lambda = d/c), so the designer never needs a concrete sparsity.
 
+The program calls ``design_table`` (the ``design`` subcommand) and
+``error_floor`` (``simulate``'s default success threshold). ``de_trajectory``
+(the uncolored fraction, iteration by iteration) and ``giant_fraction`` (the
+share of singleton balls in the seed cluster) are model quantities that
+decodes are compared with.
+
 The three root finders import ``scipy.optimize`` when called: the import
 costs about 0.5 s and 47 MB, which every process importing the package (a
 Monte Carlo pool worker among them) would otherwise pay without using it.
@@ -11,26 +17,14 @@ Monte Carlo pool worker among them) would otherwise pay without using it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ParameterError
 
 
 # ---------------------------------------------------------------------------
-# Degree distributions and the recursion
+# The recursion
 # ---------------------------------------------------------------------------
-
-def edge_degree_pmf(i: int, lam: float) -> float:
-    """Probability that a random edge sees right-node degree i (Poisson load)."""
-    if i < 1:
-        raise ParameterError("edge degrees start at 1")
-    return lam ** (i - 1) * math.exp(-lam) / math.factorial(i - 1)
-
-
-def edge_degree_poly(t: float, lam: float) -> float:
-    """Generating polynomial of the right edge-degree distribution: e^{-lam(1-t)}."""
-    return math.exp(-lam * (1.0 - t))
-
 
 def de_step(p: float, lam: float, d: int) -> float:
     """One step of the uncolored-fraction recursion:
@@ -91,15 +85,6 @@ def instability_range(d: int) -> tuple[float, float] | None:
         hi *= 2.0
     lam_hi = brentq(g, 1.0, hi, xtol=1e-12)
     return lam_lo, lam_hi
-
-
-def instability_c_range(d: int) -> tuple[float, float] | None:
-    """The instability range expressed as c = d/lambda."""
-    rng = instability_range(d)
-    if rng is None:
-        return None
-    lam_lo, lam_hi = rng
-    return d / lam_hi, d / lam_lo
 
 
 def singleton_ball_prob(lam: float, d: int) -> float:
@@ -212,20 +197,8 @@ def giant_fraction(c: float, d: int, conditioning: str = POPULATION_BAYES) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Design tables
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DensityEvolutionReport:
-    d: int
-    c: float
-    lam: float
-    error_floor: float
-    fixed_points: tuple[float, float]
-    giant_range_c: tuple[float, float]
-    instability_range_lambda: tuple[float, float] | None
-    trajectory: list[float] = field(default_factory=list)
-
 
 @dataclass
 class DesignRow:
@@ -237,24 +210,6 @@ class DesignRow:
     lam_max: float
     p_star: float
     m_per_k: float  # measurements per nonzero component, m = 4cK
-
-
-def report(d: int, c: float, trajectory_start: float | None = None, steps: int = 60) -> DensityEvolutionReport:
-    lam = d / c
-    p_star = error_floor(lam, d)
-    traj = []
-    if trajectory_start is not None:
-        traj = de_trajectory(trajectory_start, lam, d, steps)
-    return DensityEvolutionReport(
-        d=d,
-        c=c,
-        lam=lam,
-        error_floor=p_star,
-        fixed_points=(1.0, p_star),
-        giant_range_c=giant_component_range(d),
-        instability_range_lambda=instability_range(d),
-        trajectory=traj,
-    )
 
 
 def design_table(d_list) -> list[DesignRow]:

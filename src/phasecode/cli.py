@@ -609,10 +609,10 @@ def cmd_decode(args) -> int:
         n=meas.params.n, M=args.bins, d=args.d, ensemble=args.ensemble, coprimes=coprimes,
         alpha=args.alpha,
     ).build_ensemble(args.ens_seed)
-    K = args.K if args.K is not None else (signal.k if signal else 0)
+    K = args.K if args.K is not None else (signal.k if signal else None)
     decode = get_decoder(args.algorithm)
     t0 = time.perf_counter()
-    res = decode(meas, ens, K_hint=K)
+    res = decode(meas, ens, K_hint=K or 0)
     wall_ms = (time.perf_counter() - t0) * 1e3
     out = sys.stdout if not args.out else open(args.out, "w")
     try:
@@ -625,9 +625,10 @@ def cmd_decode(args) -> int:
         "status": res.status.value,
         "iterations": res.stats.sweeps,
         "unexplained_bins": res.stats.unexplained_bins,
-        "fraction_recovered": res.fraction_recovered,
-        "wall_time_ms": wall_ms,
     }
+    if K is not None:
+        status["fraction_recovered"] = res.fraction_recovered
+    status["wall_time_ms"] = wall_ms
     if signal is not None:
         status["residual"] = score_decode(res, signal)[1]
     print(json.dumps(status))

@@ -8,7 +8,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -117,10 +116,6 @@ class SparseSignal:
         for ell, value in self.support:
             x[ell - 1] = value
         return x
-
-    def rotated(self, phi: float) -> "SparseSignal":
-        rot = cmath.exp(1j * phi)
-        return SparseSignal(self.n, tuple((ell, v * rot) for ell, v in self.support))
 
 
 @dataclass

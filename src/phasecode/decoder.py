@@ -211,9 +211,6 @@ class ColorForest:
         """Ball value expressed in its component root's frame."""
         return self._val[ell]
 
-    def size(self, root: int) -> int:
-        return len(self._members[root])
-
     def members(self, root: int) -> Sequence[int]:
         return self._members[root]
 

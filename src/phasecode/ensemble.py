@@ -1,4 +1,4 @@
-"""Implicit binary code matrices: balls-and-bins and CRT ensembles.
+"""Implicit binary code matrices: balls-and-bins, CRT and explicit ensembles.
 
 The M x n matrix H is never materialized. Both ensembles answer
 ``bins_of(ell)`` (the d bins occupied by ball ``ell``) in O(d) time with O(1)
@@ -6,20 +6,22 @@ per-query memory, which is what makes O(K) decoding of signals with n ~ 1e10
 possible. ``bins_many(ells)`` answers a whole batch of balls at once in numpy:
 row i equals ``bins_of(ells[i])``, padded with zeros (which name no bin)
 where a ball of an irregular explicit ensemble has fewer bins than another.
+
+``ExplicitEnsemble`` lists each bin's members by hand, for toy graphs; it is
+the only ensemble whose balls can sit in different numbers of bins. The dense
+copy of H and a support's per-bin member lists, which only the tests read,
+are built in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ParameterError, mix64, mix_round
-
-# Hard cap for any operation that materializes an M x n matrix.
-DENSE_EXPORT_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,6 @@ class BallsAndBinsEnsemble:
             out[i] = self.bins_of(int(ells[i]))
         return out
 
-    def describe(self) -> str:
-        return f"balls(n={self.n},M={self.M},d={self.d},seed={self.seed})"
-
 
 @dataclass(frozen=True)
 class CrtEnsemble:
@@ -95,10 +94,6 @@ class CrtEnsemble:
         r = _check_balls(ells, self.n)[:, None] - 1
         return np.asarray(self.stage_offsets) + r % np.asarray(self.stage_heights) + 1
 
-    def describe(self) -> str:
-        cop = ",".join(str(c) for c in self.coprimes)
-        return f"crt(coprimes={cop},alpha={self.alpha})"
-
 
 @dataclass(frozen=True)
 class ExplicitEnsemble:
@@ -128,21 +123,6 @@ class ExplicitEnsemble:
         for i, bins in enumerate(rows):
             out[i, : len(bins)] = bins
         return out
-
-    def describe(self) -> str:
-        return f"explicit(n={self.n},M={self.M})"
-
-
-@dataclass
-class InducedGraph:
-    """Bipartite graph restricted to the signal's support: per-bin member lists."""
-
-    M: int
-    bins: list[list[int]]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(b) for b in self.bins)
 
 
 def _ball_index(ell, n: int) -> int:
@@ -205,29 +185,3 @@ def build_crt(coprimes: Sequence[int], alpha: int = 1) -> CrtEnsemble:
         stage_offsets=offsets,
         M=sum(heights),
     )
-
-
-# ---------------------------------------------------------------------------
-# Queries
-# ---------------------------------------------------------------------------
-
-def induce_graph(ensemble, support: Iterable[int]) -> InducedGraph:
-    """Per-bin member lists restricted to ``support`` (edge count = K*d)."""
-    bins: list[list[int]] = [[] for _ in range(ensemble.M)]
-    for ell in support:
-        for b in ensemble.bins_of(ell):
-            bins[b - 1].append(ell)
-    return InducedGraph(M=ensemble.M, bins=bins)
-
-
-def dense_matrix(ensemble) -> np.ndarray:
-    """Explicit M x n copy of H, for debugging and doc examples only."""
-    if ensemble.n > DENSE_EXPORT_LIMIT:
-        raise ParameterError(
-            f"dense export refused for n={ensemble.n} > {DENSE_EXPORT_LIMIT}"
-        )
-    H = np.zeros((ensemble.M, ensemble.n), dtype=np.int8)
-    for ell in range(1, ensemble.n + 1):
-        for b in ensemble.bins_of(ell):
-            H[b - 1, ell - 1] = 1
-    return H

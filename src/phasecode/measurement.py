@@ -6,12 +6,17 @@ the modulation weights
     g1(ell) = exp(+i*omega*ell)
     g2(ell) = exp(-i*omega*ell)
     g3(ell) = 2*cos(omega*ell)
-    g4(ell) = exp(+i*omega_prime*ell)        (the "check" row)
+    g4(ell) = exp(+i*omega'*ell)             (the "check" row)
 
 so the total measurement count is m = 4*M. In the general mode
 omega = pi/(2n), which keeps cos(omega*ell) positive and injective over the
 index range; in the Fourier-friendly mode omega = 2*pi/n (the only modulation
 an integer circular shift can realize).
+
+The measurement matrix is the row tensor product A = G (x) H of these
+weights and the code matrix, and the program never forms it: ``encode``
+adds each ball's weighted value into its bins. The dense A, which only the
+tests build, comes from ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ FOURIER = "fourier"
 class ModulationParams:
     """Modulation frequencies for one measurement set.
 
-    ``L`` is the integer behind the check row, omega_prime = 2*pi*L/n; it is
+    ``L`` is the integer behind the check row, omega' = 2*pi*L/n; it is
     drawn once per measurement set and recorded for reproducibility.
     """
 
@@ -53,12 +58,8 @@ class ModulationParams:
             return math.pi / (2.0 * self.n)
         return 2.0 * math.pi / self.n
 
-    @property
-    def omega_prime(self) -> float:
-        return 2.0 * math.pi * self.L / self.n
-
     def check_phase(self, ell: int) -> float:
-        """omega_prime * ell reduced mod 2*pi using exact integer arithmetic.
+        """omega' * ell reduced mod 2*pi using exact integer arithmetic.
 
         For n ~ 1e10 the raw product overflows double precision long before
         the trig call; (L*ell) mod n keeps full accuracy. A numpy integer
@@ -100,10 +101,6 @@ class MeasurementSet:
     @property
     def M(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def m(self) -> int:
-        return 4 * self.M
 
 
 def modulation_coeffs(params: ModulationParams, ell: int) -> tuple[complex, complex, float, complex]:
@@ -185,21 +182,6 @@ def encode(signal: SparseSignal, ensemble, params: ModulationParams) -> Measurem
             np.add.at(total, rows, terms[ball])
     y = np.ascontiguousarray(np.hypot(sums[:4], sums[4:]).T)
     return MeasurementSet(y=y, params=params)
-
-
-def row_tensor_product(G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Stacked blocks A = [A_1; ...; A_M] with A_i(j, k) = G(j, k) * H(i, k).
-
-    Dense helper for documentation and oracle tests; intended for small n.
-    """
-    G = np.asarray(G)
-    H = np.asarray(H)
-    if G.ndim != 2 or H.ndim != 2 or G.shape[1] != H.shape[1]:
-        raise ParameterError(
-            f"column mismatch: G is {G.shape}, H is {H.shape}"
-        )
-    blocks = [G * H[i, :][None, :] for i in range(H.shape[0])]
-    return np.vstack(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ decoder's cosine-law / quadratic derivation beyond the measurement model.
 
 The scalar encoder is the plain per-ball loop in Python complex arithmetic;
 the vectorized ``measurement.encode`` must reproduce its ``y`` byte for byte.
+The reference builders materialize what the program keeps implicit: the
+code matrix H and the row tensor product A = G (x) H (small n only), and a
+support's per-bin member lists.
 
 The density-evolution oracle at the end solves the design tool's three
 defining equations in 40-digit ``decimal`` arithmetic by plain bisection and
@@ -16,13 +19,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from phasecode.core import ParameterError
 from phasecode.measurement import ModulationParams, modulation_coeffs
 
 
@@ -51,6 +56,60 @@ def _coeff_table(params: ModulationParams) -> np.ndarray:
     for ell in range(1, n + 1):
         G[:, ell - 1] = modulation_coeffs(params, ell)
     return G
+
+
+# ---------------------------------------------------------------------------
+# Reference builders: what the program keeps implicit
+# ---------------------------------------------------------------------------
+
+# Hard cap for any builder that materializes an M x n matrix.
+DENSE_EXPORT_LIMIT = 10_000
+
+
+def dense_matrix(ensemble) -> np.ndarray:
+    """Explicit M x n copy of the code matrix H."""
+    if ensemble.n > DENSE_EXPORT_LIMIT:
+        raise ParameterError(
+            f"dense export refused for n={ensemble.n} > {DENSE_EXPORT_LIMIT}"
+        )
+    H = np.zeros((ensemble.M, ensemble.n), dtype=np.int8)
+    for ell in range(1, ensemble.n + 1):
+        for b in ensemble.bins_of(ell):
+            H[b - 1, ell - 1] = 1
+    return H
+
+
+def row_tensor_product(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Stacked blocks A = [A_1; ...; A_M] with A_i(j, k) = G(j, k) * H(i, k)."""
+    G = np.asarray(G)
+    H = np.asarray(H)
+    if G.ndim != 2 or H.ndim != 2 or G.shape[1] != H.shape[1]:
+        raise ParameterError(
+            f"column mismatch: G is {G.shape}, H is {H.shape}"
+        )
+    blocks = [G * H[i, :][None, :] for i in range(H.shape[0])]
+    return np.vstack(blocks)
+
+
+@dataclass
+class InducedGraph:
+    """Bipartite graph restricted to the signal's support: per-bin member lists."""
+
+    M: int
+    bins: list[list[int]]
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(b) for b in self.bins)
+
+
+def induce_graph(ensemble, support: Iterable[int]) -> InducedGraph:
+    """Per-bin member lists restricted to ``support`` (edge count = K*d)."""
+    bins: list[list[int]] = [[] for _ in range(ensemble.M)]
+    for ell in support:
+        for b in ensemble.bins_of(ell):
+            bins[b - 1].append(ell)
+    return InducedGraph(M=ensemble.M, bins=bins)
 
 
 def oracle_singleton(y, params: ModulationParams, tol: float = 1e-6):

@@ -7,34 +7,16 @@ from phasecode.analysis import (
     de_step,
     de_trajectory,
     design_table,
-    edge_degree_pmf,
-    edge_degree_poly,
     error_floor,
     giant_component_range,
     giant_fraction,
-    instability_c_range,
     instability_range,
     seed_edge_ratio,
     singleton_ball_prob,
 )
 from phasecode.core import ParameterError, generate_signal
-from phasecode.ensemble import build_balls_and_bins, induce_graph
-from oracles import exact_giant_range, exact_seed_ratio
-
-
-def test_edge_degree_poly_normalization():
-    for lam in (0.5, 1.0, 2.0, 3.7):
-        assert edge_degree_poly(1.0, lam) == 1.0
-        assert abs(edge_degree_poly(0.0, lam) - edge_degree_pmf(1, lam)) < 1e-15
-
-
-def test_edge_degree_pmf_value():
-    assert abs(edge_degree_pmf(2, 2.0) - 0.2706705664732254) < 1e-15
-
-
-def test_edge_degree_pmf_sums_to_one():
-    lam = 2.3
-    assert abs(sum(edge_degree_pmf(i, lam) for i in range(1, 60)) - 1.0) < 1e-12
+from phasecode.ensemble import build_balls_and_bins
+from oracles import exact_giant_range, exact_seed_ratio, induce_graph
 
 
 def test_de_step_fixed_point_at_one():
@@ -100,13 +82,6 @@ def test_instability_infeasible_for_small_degree():
     assert instability_range(3) is None
     with pytest.raises(ParameterError):
         instability_range(2)
-
-
-def test_instability_c_range_inverts_lambda():
-    lo, hi = instability_range(5)
-    clo, chi = instability_c_range(5)
-    assert abs(clo - 5 / hi) < 1e-12
-    assert abs(chi - 5 / lo) < 1e-12
 
 
 def test_giant_range_roots_sit_on_threshold():
@@ -239,21 +214,6 @@ def test_monotone_contraction_inside_feasible_ranges():
         grid = np.linspace(p_star + 1e-6, 1 - 1e-6, 10_000)
         vals = (1.0 + math.exp(-lam) - np.exp(-lam * grid)) ** (d - 1)
         assert np.all(vals < grid)
-
-
-def test_report_bundles_a_design_point():
-    from phasecode.analysis import report
-
-    rep = report(7, 3.32, trajectory_start=0.9, steps=30)
-    assert rep.lam == 7 / 3.32
-    assert rep.fixed_points[0] == 1.0
-    assert rep.fixed_points[1] == rep.error_floor
-    assert rep.trajectory[0] == 0.9
-    assert rep.trajectory[-1] < 1e-5  # converged towards the floor
-    lo, hi = rep.instability_range_lambda
-    assert lo < rep.lam < hi
-    gmin, gmax = rep.giant_range_c
-    assert gmin < 3.5 < gmax
 
 
 def test_design_table_structure():

@@ -324,7 +324,34 @@ def test_decode_needs_neither_k_nor_the_signal(tmp_path, capsys):
     status = json.loads(lines[-1])
     assert (status["status"], status["unexplained_bins"]) == ("FullRecovery", 0)
     assert len(lines) - 1 == 50
-    assert "residual" not in status
+    assert "residual" not in status and "fraction_recovered" not in status
+
+
+def test_decode_without_k_reports_no_fraction_of_a_partial(tmp_path, capsys):
+    # at c = 2 the unicolor decode stops after one ball of 40: a fraction of
+    # an unknown K is no number at all, while --K 40 scales it
+    dump = tmp_path / "dump"
+    assert main([
+        "simulate", "--n", "30000", "--K", "40", "--d", "7", "--c", "2.0",
+        "--trials", "1", "--seed", "5", "--dump-dir", str(dump),
+        "--out", str(tmp_path / "sim.csv"),
+    ]) == 0
+    capsys.readouterr()
+    from phasecode.core import mix64
+
+    args = [
+        "decode", "--measurements", str(dump / "trial0.meas"),
+        "--ensemble", "balls", "--bins", "80", "--d", "7", "--ens-seed", str(mix64(5, 0, 1)),
+    ]
+    statuses = []
+    for extra in ([], ["--K", "40"]):
+        assert main(args + extra) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        statuses.append(json.loads(lines[-1]))
+        assert len(lines) - 1 == 1
+    assert [s["status"] for s in statuses] == ["PartialRecovery"] * 2
+    assert "fraction_recovered" not in statuses[0]
+    assert statuses[1]["fraction_recovered"] == 1 / 40
 
 
 def test_decode_against_another_signal_reports_no_residual(tmp_path, capsys):

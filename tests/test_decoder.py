@@ -57,7 +57,7 @@ def test_forest_union_semantics():
     v1, v2 = forest.value(1), forest.value(2)
     assert abs(v2 / v1 - cmath.exp(1j * psi)) < 1e-12 or abs(v1 / v2 - cmath.exp(-1j * psi)) < 1e-12
     assert forest.find(1) == forest.find(2)
-    assert forest.size(forest.find(1)) == 2
+    assert len(forest.members(forest.find(1))) == 2
 
 
 def test_forest_members_tracking():
@@ -747,7 +747,7 @@ def test_a_merge_revisits_the_bins_of_the_component_it_absorbed(monkeypatch):
     original_revisit = dec._Engine.revisit
 
     def union(self, root_a, root_b, psi):
-        tie = self.size(root_a) == self.size(root_b)
+        tie = len(self.members(root_a)) == len(self.members(root_b))
         big, moved = original_union(self, root_a, root_b, psi)
         events.append(("union", tuple(moved), tie))
         return big, moved

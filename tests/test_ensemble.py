@@ -6,13 +6,8 @@ import pytest
 from scipy.stats import chisquare
 
 from phasecode.core import ParameterError, generate_signal, mix64
-from phasecode.ensemble import (
-    ExplicitEnsemble,
-    build_balls_and_bins,
-    build_crt,
-    dense_matrix,
-    induce_graph,
-)
+from phasecode.ensemble import ExplicitEnsemble, build_balls_and_bins, build_crt
+from oracles import dense_matrix, induce_graph
 
 # reference two-stage layout: f1=2, f2=3, n=6
 CRT_EXAMPLE_MATRIX = np.array(
