@@ -78,6 +78,11 @@ def _number(text: str, what: str, kind=int):
         raise ParameterError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
 
 
+def _check_c(c: float) -> None:
+    if not 0.0 < c < math.inf:  # also refuses nan
+        raise ParameterError(f"c must be a finite number above 0, got {c}")
+
+
 def _ints(text: str, what: str) -> list[int]:
     """Comma-separated integers, empty entries skipped; at least one."""
     values = [_number(v, what) for v in text.split(",") if v.strip()]
@@ -117,6 +122,8 @@ class ExperimentConfig:
         """Fill in derived fields and check internal consistency."""
         if self.threads < 1:
             raise ParameterError(f"threads must be at least 1, got {self.threads}")
+        if self.c is not None:
+            _check_c(self.c)
         if self.ensemble != "balls":
             ens = self.build_ensemble()  # the CRT code fixes n, M and d
             self.n, self.M, self.d = ens.n, ens.M, ens.d
@@ -124,6 +131,8 @@ class ExperimentConfig:
             if self.c is None:
                 raise ParameterError("need either --bins or --c")
             self.M = math.ceil(self.c * self.K)
+        if self.M < self.d:
+            raise ParameterError(f"M must be at least d={self.d}, got {self.M}")
         self.c = self.M / self.K if self.K else None
         get_decoder(self.algorithm)  # rejects unknown names
         if self.success_threshold is None:
@@ -131,6 +140,8 @@ class ExperimentConfig:
                 self.success_threshold = 1.0
             else:
                 self.success_threshold = 1.0 - analysis.error_floor(self.d / self.c, self.d)
+        if not 0.0 <= self.success_threshold <= 1.0:  # also refuses nan
+            raise ParameterError(f"success threshold must lie in [0, 1], got {self.success_threshold}")
         return self
 
     def header_lines(self) -> list[str]:
@@ -333,6 +344,7 @@ def run_bench(
     collection that keeps the set-up's garbage out of it; a trial's time is
     the fastest of ``BENCH_REPEATS`` decodes of its measurements."""
     decode = get_decoder(algorithm)
+    _check_c(c)
     inputs = []
     for K in K_list:
         cfg = ExperimentConfig(n=n, K=K, d=d, M=math.ceil(c * K), seed=mix64(seed, K))
@@ -636,6 +648,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_nonsparse(args) -> int:
+    if args.n < 2:
+        raise ParameterError(f"the dense schemes need n >= 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     counts_ok = True
@@ -846,9 +860,14 @@ def main(argv=None) -> int:
         trials = getattr(args, "trials", None)
         if trials is not None and trials < 1:
             raise ParameterError(f"--trials must be at least 1, got {trials}")
+        if getattr(args, "out", None):
+            open(args.out, "a").close()  # an unwritable output fails before any work
         return args.func(args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -60,8 +60,7 @@ weight g3 of each location candidate, the resolvable judge g1, g2 and g3 of
 each candidate and the check weight only for a candidate that rows 1-3
 accept. A candidate enters ``coeff_cache`` only once it has passed every
 test, so the cache holds colored balls (and the rare hit a bin rejects as
-ambiguous), not every index ever tried. The engine hands every visit the
-same ``BinState``, re-pointed at the bin.
+ambiguous), not every index ever tried.
 
 The round engine runs the parallel rounds that density evolution models.
 Its state is numpy arrays: per ball its index, its value in the frame of its
@@ -93,6 +92,14 @@ functions of the bins they judge, ``_judge_one_color`` and
 ``_judge_two_color``: each computes the margins of its bins (and the
 one-color judge their z) from their measurements, so that a test can run
 them one bin at a time against criterion 6's oracles.
+
+Both engines' judges take what a bin offers, its measurements and its
+members' sums (one set per color class), and return a verdict without
+touching the engine's state: the scalar judges ``process_singleton``,
+``_resolvable_full`` and ``process_mergeable`` one bin per call, the batch
+judges many. Each engine groups a bin's members by root, sums them, and
+applies the verdicts itself: it colors a resolved ball, or merges two
+classes and revisits the bins of the balls the merge rotated.
 
 Seeding stays scalar although it could be batched too: a prototype that
 batched it ran the n = 1e10, K = 4000 unicolor decode in ~75 ms when the
@@ -144,8 +151,7 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 import numpy as np
 
@@ -211,9 +217,6 @@ class ColorForest:
         """Ball value expressed in its component root's frame."""
         return self._val[ell]
 
-    def members(self, root: int) -> Sequence[int]:
-        return self._members[root]
-
     def roots(self) -> list[int]:
         return list(self._members.keys())
 
@@ -272,15 +275,6 @@ class ColorForest:
             val[ell] *= e
         self._grown(big).extend(moved)
         return big, moved
-
-
-@dataclass
-class BinState:
-    """Decoder-side view of one bin: measurements plus discovered members."""
-
-    bin_id: int  # 1-based, aligned with the ensemble's global bin indexing
-    y: tuple[float, float, float, float]
-    discovered: Sequence[int] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +350,20 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _member_sums(
-    mem: list[int],
-    forest: ColorForest,
+    mem: Sequence[int],
+    val: dict[int, complex],
     params: ModulationParams,
-    coeff_cache: dict | None,
+    coeff_cache: dict,
 ) -> tuple[complex, complex, complex, complex]:
-    """The four bin sums g_k(ell) * value(ell) over ``mem``, added in member
-    order, each value in the frame of its component's root."""
+    """The four bin sums g_k(ell) * val[ell] over ``mem``, added in member
+    order, each value in the frame of its component's root; a member's
+    weights enter ``coeff_cache`` the first time they are summed."""
     a = b = c = dd = 0j
-    val = forest._val
     for ell in mem:
         v = val[ell]
-        g = coeff_cache.get(ell) if coeff_cache is not None else None
+        g = coeff_cache.get(ell)
         if g is None:
-            g = modulation_coeffs(params, ell)
-            if coeff_cache is not None:
-                coeff_cache[ell] = g
+            g = coeff_cache[ell] = modulation_coeffs(params, ell)
         g1, g2, g3, g4 = g
         a += g1 * v
         b += g2 * v
@@ -381,11 +373,13 @@ def _member_sums(
 
 
 def process_singleton(
-    bin: BinState,
+    y: Sequence[float],
     params: ModulationParams,
     membership: Callable[[int], bool] | None = None,
 ) -> Optional[tuple[int, float]]:
-    """Guess: the bin holds exactly one ball. Returns (index, magnitude).
+    """Guess: the bin measuring ``y`` holds exactly one ball, and
+    ``membership`` (None: any index) says which indices the bin can hold.
+    Returns (index, magnitude).
 
     Detection: y1 = y2 = y4 (all unit-modulus rows see the same lone
     magnitude), location from arccos(y3 / 2 y1), acceptance only if the full
@@ -393,7 +387,7 @@ def process_singleton(
     lone ball that resynthesis reduces to |g3| y1 = y3, so only g3 is
     computed.
     """
-    y1, y2, y3, y4 = bin.y
+    y1, y2, y3, y4 = y
     if y1 <= 0.0:
         return None
     margin = DEFAULT_TOL * y1
@@ -414,32 +408,22 @@ def process_singleton(
 
 
 def process_mergeable(
-    bin: BinState,
-    forest: ColorForest,
-    params: ModulationParams,
-    coeff_cache: dict | None = None,
+    y: Sequence[float],
+    rs: Sequence[complex],
+    bs: Sequence[complex],
 ) -> Optional[float]:
-    """Guess: the bin holds exactly its discovered members, which form two
-    color classes. On success the classes are merged in the forest and the
-    applied rotation is returned.
+    """Guess: the bin measuring ``y`` holds exactly two color classes, whose
+    members sum to ``rs`` and ``bs`` (four sums each, in the frame of each
+    class's root). Returns psi such that the b-class values times
+    exp(i psi) are in the r-class frame, or None.
 
     The relative rotation comes from the cosine law on the two class sums;
     both arccos signs are candidates and the check row plus the remaining
     measurements pick the (at most one) consistent rotation.
     """
-    groups: dict[int, list[int]] = {}
-    for ell in bin.discovered:
-        groups.setdefault(forest.find(ell), []).append(ell)
-    if len(groups) != 2:
-        return None
-    (root_r, mem_r), (root_b, mem_b) = groups.items()
-    y = bin.y
     scale = max(y)
     if scale <= 0.0:
         return None
-
-    rs = _member_sums(mem_r, forest, params, coeff_cache)
-    bs = _member_sums(mem_b, forest, params, coeff_cache)
     r1, b1 = rs[0], bs[0]
     mag_r, mag_b = abs(r1), abs(b1)
     margin = DEFAULT_TOL * scale
@@ -462,11 +446,7 @@ def process_mergeable(
         ):
             if not any(abs(cmath.exp(1j * (psi - p)) - 1.0) <= 1e-9 for p in accepted):
                 accepted.append(psi)
-    if len(accepted) != 1:
-        return None
-    psi = accepted[0]
-    forest.union(root_r, root_b, psi)
-    return psi
+    return accepted[0] if len(accepted) == 1 else None
 
 
 def _one_unknown_quadratic(z, zb_a, c, kk):
@@ -492,30 +472,21 @@ def _one_unknown_quadratic(z, zb_a, c, kk):
 
 
 def _resolvable_full(
-    bin: BinState,
-    forest: ColorForest,
+    y: Sequence[float],
+    sums: Sequence[complex],
     params: ModulationParams,
+    colored: Container[int],
     membership: Callable[[int], bool] | None = None,
     coeff_cache: dict | None = None,
-    sums: tuple[complex, complex, complex, complex] | None = None,
 ) -> tuple[str, Optional[tuple[int, complex]]]:
-    """Resolvable-multiton engine; returns (status, payload) with status in
-    {"resolved", "exhausted", "none"}. "exhausted" means the discovered
-    members alone already reproduce all four measurements.
-
-    ``sums`` are the members' one-color sums when the caller holds them (the
-    engine's sweep, which has checked that they share one color); otherwise
-    the members are checked and summed here."""
-    mem = bin.discovered
-    if not mem:
-        return "none", None
-    if sums is None:
-        root = forest.find(mem[0])
-        if any(forest.find(ell) != root for ell in mem):
-            return "none", None  # more than one color: not this processor's job
-        sums = _member_sums(mem, forest, params, coeff_cache)
+    """Guess: the bin measuring ``y`` holds members of one color, which sum
+    to ``sums``, plus at most one unknown ball, which is neither in
+    ``colored`` nor refused by ``membership``. Returns (status, payload)
+    with status in {"resolved", "exhausted", "none"}: "exhausted" means the
+    members alone already reproduce all four measurements, and a resolved
+    payload is (index, value in the members' frame), whose weights enter
+    ``coeff_cache``."""
     a, b, c, dd = sums
-    y = bin.y
     y1, y2, y3, y4 = y
     scale = max(y)
     if scale <= 0.0:
@@ -542,7 +513,6 @@ def _resolvable_full(
     kk = k4 * k4
     omega = params.omega
     fourier = params.mode == FOURIER
-    colored = forest._val
     hits: list[tuple[int, complex]] = []
     for sign in (1.0, -1.0):
         z = (y1 / y2) * cmath.exp(1j * sign * alpha0)
@@ -598,22 +568,19 @@ def _resolvable_full(
 
 
 def process_resolvable(
-    bin: BinState,
+    y: Sequence[float],
+    mem: Sequence[int],
     forest: ColorForest,
     params: ModulationParams,
-    membership: Callable[[int], bool] | None = None,
-    coeff_cache: dict | None = None,
 ) -> Optional[tuple[int, complex]]:
-    """Guess: the bin holds its discovered members (one color) plus exactly
-    one unknown ball. On success the ball is colored into the component and
-    (index, value in the component's coordinate) is returned."""
-    status, payload = _resolvable_full(bin, forest, params, membership, coeff_cache)
-    if status != "resolved":
+    """``_resolvable_full`` on a bin measuring ``y`` whose members ``mem``
+    are colored in ``forest``: (index, value in the members' frame) of the
+    one unknown ball, or None, also when the members are of two colors."""
+    if not mem or len({forest.find(ell) for ell in mem}) != 1:
         return None
-    ell, x = payload
-    root = forest.find(bin.discovered[0])
-    forest.add_member(ell, x, root)
-    return ell, x
+    sums = _member_sums(mem, forest._val, params, {})
+    status, payload = _resolvable_full(y, sums, params, forest._val)
+    return payload if status == "resolved" else None
 
 
 def _is_colored(colored: set[int], ells: np.ndarray) -> np.ndarray:
@@ -789,8 +756,6 @@ class _Engine:
         self.stats = DecodeStats()
         self.coeff_cache: dict[int, tuple] = {}
         self.bins: dict[int, tuple[int, ...]] = {}
-        # one BinState for every visit, which ``bin_state`` points at the bin
-        self.visit = BinState(0, (0.0, 0.0, 0.0, 0.0))
 
     @property
     def ball_count(self) -> int:
@@ -829,21 +794,6 @@ class _Engine:
             for b in self.bins_of(ell):
                 dirty[b - 1] = 1
 
-    def visited_bin_test(self) -> Callable[[int], bool]:
-        """Membership in the bin ``bin_state`` last pointed at: one test per
-        phase, not per visit. It is never stored on the engine, which it
-        refers to, so an engine is freed as soon as its decode returns."""
-        visit, bins, bins_of = self.visit, self.bins, self.bins_of
-        return lambda ell: visit.bin_id in (bins.get(ell) or bins_of(ell))
-
-    def bin_state(self, b0: int) -> BinState:
-        """The engine's one BinState, pointed at bin ``b0`` (0-based)."""
-        visit = self.visit
-        visit.bin_id = b0 + 1
-        visit.y = tuple(self.yflat[4 * b0 : 4 * b0 + 4])
-        visit.discovered = self.discovered[b0]
-        return visit
-
     # -- phases ---------------------------------------------------------------
 
     def phase_singletons(self) -> None:
@@ -851,11 +801,12 @@ class _Engine:
         y1 = y[:, 0]
         margin = DEFAULT_TOL * y1
         candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= margin) & (np.abs(y1 - y[:, 3]) <= margin)
-        params, forest, stats = self.params, self.forest, self.stats
-        in_visited_bin = self.visited_bin_test()
+        params, forest, stats, yflat = self.params, self.forest, self.stats, self.yflat
         for b0 in np.flatnonzero(candidate).tolist():
             stats.processor_calls += 1
-            hit = process_singleton(self.bin_state(b0), params, membership=in_visited_bin)
+            hit = process_singleton(
+                yflat[4 * b0 : 4 * b0 + 4], params, lambda ell, b=b0 + 1: b in self.bins_of(ell)
+            )
             if hit is None:
                 continue
             ell, mag = hit
@@ -867,16 +818,22 @@ class _Engine:
     def phase_doubletons(self) -> None:
         """Unicolor step 2: merge across bins holding two singleton-found balls
         (only singletons are colored when this runs)."""
-        forest = self.forest
+        forest, params, cache, yflat = self.forest, self.params, self.coeff_cache, self.yflat
         for b0 in range(self.M):
             mem = self.discovered[b0]
             if len(mem) != 2:
                 continue
-            ball_a, ball_b = mem
-            if forest.find(ball_a) == forest.find(ball_b):
+            root_a, root_b = forest.find(mem[0]), forest.find(mem[1])
+            if root_a == root_b:
                 continue
             self.stats.processor_calls += 1
-            process_mergeable(self.bin_state(b0), forest, self.params, self.coeff_cache)
+            psi = process_mergeable(
+                yflat[4 * b0 : 4 * b0 + 4],
+                _member_sums(mem[:1], forest._val, params, cache),
+                _member_sums(mem[1:], forest._val, params, cache),
+            )
+            if psi is not None:
+                forest.union(root_a, root_b, psi)
 
     def largest_root(self) -> int | None:
         return _largest(self.components, lambda mem: mem)
@@ -901,47 +858,42 @@ class _Engine:
         """One sweep: an ascending pass over the dirty bins that sees what
         earlier bins of the same sweep colored. Returns whether anything
         changed."""
-        forest = self.forest
-        root_of = forest._root
+        forest, params, cache, yflat = self.forest, self.params, self.coeff_cache, self.yflat
+        root_of, val = forest._root, forest._val
         # color_ball and the merges update these in place
         discovered, dirty, exhausted = self.discovered, self.dirty, self.exhausted
-        in_visited_bin = self.visited_bin_test()
         changed = False
         for b0 in range(self.M):
             if exhausted[b0] or not dirty[b0]:
                 continue
             dirty[b0] = 0
             mem = discovered[b0]
-            if not mem:
-                continue
             roots = {root_of[ell] for ell in mem}
+            if not 1 <= len(roots) <= 2:
+                continue
+            self.stats.processor_calls += 1
+            y = yflat[4 * b0 : 4 * b0 + 4]
             if len(roots) == 1:
-                self.stats.processor_calls += 1
                 status, payload = _resolvable_full(
-                    self.bin_state(b0),
-                    forest,
-                    self.params,
-                    membership=in_visited_bin,
-                    coeff_cache=self.coeff_cache,
-                    sums=_member_sums(mem, forest, self.params, self.coeff_cache),
+                    y, _member_sums(mem, val, params, cache), params, val,
+                    lambda ell, b=b0 + 1: b in self.bins_of(ell), cache,
                 )
                 if status == "exhausted":
                     exhausted[b0] = 1
                 elif status == "resolved":
-                    ell, x = payload
-                    self.color_ball(ell, x, roots.pop())
+                    self.color_ball(*payload, roots.pop())
                     exhausted[b0] = 1  # the members and ell reproduce the bin
                     changed = True
-            elif len(roots) == 2:
-                self.stats.processor_calls += 1
-                ra, rb = roots
-                # union pops the absorbed root's members unchanged
-                mem_a, mem_b = forest.members(ra), forest.members(rb)
-                psi = process_mergeable(self.bin_state(b0), forest, self.params, self.coeff_cache)
-                if psi is not None:
-                    exhausted[b0] = 1
-                    self.revisit(mem_a if root_of[ra] != ra else mem_b)
-                    changed = True
+                continue
+            root_r = root_of[mem[0]]  # the r class holds the bin's first member
+            (root_b,) = roots - {root_r}
+            rs = _member_sums([ell for ell in mem if root_of[ell] == root_r], val, params, cache)
+            bs = _member_sums([ell for ell in mem if root_of[ell] != root_r], val, params, cache)
+            psi = process_mergeable(y, rs, bs)
+            if psi is not None:
+                self.revisit(forest.union(root_r, root_b, psi)[1])
+                exhausted[b0] = 1
+                changed = True
         return changed
 
     # -- results --------------------------------------------------------------

@@ -27,7 +27,7 @@ def concentration_trial(args) -> tuple[float, float]:
     root = engine.largest_root()
     if root is None:
         return 1.0, 1.0
-    p2 = 1.0 - len(engine.forest.members(root)) / K
+    p2 = 1.0 - len(engine.forest.component_items(root)) / K
     engine.restrict_to_component(root)
     dec._grow(engine)
     final = 1.0 - engine.forest.ball_count / K

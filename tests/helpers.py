@@ -3,10 +3,19 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 from phasecode.core import SparseSignal
-from phasecode.decoder import BinState, ColorForest
+from phasecode.decoder import ColorForest
 from phasecode.measurement import ModulationParams, modulation_coeffs
+
+
+class Bin(NamedTuple):
+    """A synthetic bin: its four measurements and the members the decoder
+    has discovered in it."""
+
+    y: tuple[float, float, float, float]
+    discovered: list[int]
 
 
 def random_value(rng) -> complex:
@@ -16,14 +25,29 @@ def random_value(rng) -> complex:
     return v
 
 
-def bin_measurements(params: ModulationParams, balls: list[tuple[int, complex]]):
-    """The 4-tuple a bin holding ``balls`` would measure."""
+def bin_sums(params: ModulationParams, balls: list[tuple[int, complex]]):
+    """The four sums g_k(ell) * v over ``balls``, added in their order."""
     sums = [0j, 0j, 0j, 0j]
     for ell, v in balls:
         g = modulation_coeffs(params, ell)
         for k in range(4):
             sums[k] += g[k] * v
-    return tuple(abs(s) for s in sums)
+    return tuple(sums)
+
+
+def bin_measurements(params: ModulationParams, balls: list[tuple[int, complex]]):
+    """The 4-tuple a bin holding ``balls`` would measure."""
+    return tuple(abs(s) for s in bin_sums(params, balls))
+
+
+def class_sums(st: Bin, forest: ColorForest, params: ModulationParams):
+    """The ``bin_sums`` of each color class among the bin's members, in the
+    frame of the class's root; the class of the first member comes first,
+    as the decoder groups a two-color bin."""
+    groups: dict[int, list] = {}
+    for ell in st.discovered:
+        groups.setdefault(forest.find(ell), []).append((ell, forest.value(ell)))
+    return [bin_sums(params, balls) for balls in groups.values()]
 
 
 def distinct_indices(rng, n: int, count: int) -> list[int]:
@@ -38,7 +62,7 @@ def make_singleton_case(rng, params: ModulationParams, true_case: bool):
     count = 1 if true_case else 2
     idx = distinct_indices(rng, params.n, count)
     balls = [(ell, random_value(rng)) for ell in idx]
-    return BinState(1, bin_measurements(params, balls), []), balls
+    return Bin(bin_measurements(params, balls), []), balls
 
 
 def make_resolvable_case(rng, params: ModulationParams, true_case: bool, known_count: int = 2):
@@ -63,7 +87,7 @@ def make_resolvable_case(rng, params: ModulationParams, true_case: bool, known_c
     root = forest.add_root(knowns_local[0][0], knowns_local[0][1])
     for ell, v in knowns_local[1:]:
         forest.add_member(ell, v, root)
-    st = BinState(1, bin_y, [ell for ell, _ in knowns_local])
+    st = Bin(bin_y, [ell for ell, _ in knowns_local])
     # the unknown's value expressed in the knowns' local frame
     unknowns_local = [(ell, v / rot) for ell, v in unknowns_true]
     return st, forest, knowns_local, unknowns_local
@@ -96,7 +120,7 @@ def make_mergeable_case(rng, params: ModulationParams, true_case: bool, sizes=(1
     root_b = forest.add_root(local_b[0][0], local_b[0][1])
     for ell, v in local_b[1:]:
         forest.add_member(ell, v, root_b)
-    st = BinState(1, bin_y, idx_r + idx_b)
+    st = Bin(bin_y, idx_r + idx_b)
     expected = cmath.phase(rot_b / rot_r)
     return st, forest, expected
 

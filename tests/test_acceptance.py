@@ -307,7 +307,7 @@ def test_criterion_6_processor_oracle_equivalence():
     for i in range(CASES_PER_CLASS):
         for true_case in (True, False):
             st, balls = make_singleton_case(rng, params, true_case)
-            got = process_singleton(st, params)
+            got = process_singleton(st.y, params)
             ref = oracle_singleton(st.y, params)
             if (got is None) != (ref is None) or (got is not None and got[0] != ref):
                 disagreements.append(("singleton", i, true_case, got, ref))
@@ -336,7 +336,7 @@ def test_criterion_6_processor_oracle_equivalence():
                         s[k] += g[k] * v
                 sums.append(s)
             ref = oracle_mergeable(st.y, sums[0], sums[1])
-            got = process_mergeable(st, forest, params)
+            got = process_mergeable(st.y, sums[0], sums[1])
             if (got is None) != (ref is None):
                 disagreements.append(("mergeable", i, true_case, got, ref))
             if got is not None:
@@ -348,7 +348,7 @@ def test_criterion_6_processor_oracle_equivalence():
         for true_case in (True, False):
             st, forest, knowns, unknowns = make_resolvable_case(rng, params, true_case)
             ref = oracle_resolvable(st.y, knowns, params)
-            got = process_resolvable(st, forest, params)
+            got = process_resolvable(st.y, st.discovered, forest, params)
             if (got is None) != (ref is None) or (
                 got is not None and (got[0] != ref[0] or abs(got[1] - ref[1]) > 1e-6)
             ):

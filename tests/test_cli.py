@@ -124,18 +124,40 @@ MALFORMED_COUNTS = {
     "crt-compare --threads 0": [
         "crt-compare", "--coprimes", "7,9,11", "--K-list", "5", "--trials", "1", "--threads", "0"
     ],
+    "simulate --c -1": ["simulate", "--n", "100", "--K", "5", "--c", "-1", "--trials", "1"],
+    "simulate --c 0": ["simulate", "--n", "100", "--K", "5", "--c", "0", "--trials", "1"],
+    "simulate --c nan": ["simulate", "--n", "100", "--K", "5", "--c", "nan", "--trials", "1"],
+    "simulate --c inf": ["simulate", "--n", "100", "--K", "5", "--c", "inf", "--trials", "1"],
+    "simulate --bins 0": ["simulate", "--n", "100", "--K", "5", "--bins", "0", "--trials", "1"],
+    "simulate config M=0": ["simulate", "--config", "{bins_config}"],
+    "simulate --success-threshold 2": [
+        "simulate", "--n", "100", "--K", "5", "--c", "3.5", "--trials", "1", "--success-threshold", "2"
+    ],
+    "simulate --success-threshold nan": [
+        "simulate", "--n", "100", "--K", "5", "--c", "3.5", "--trials", "1", "--success-threshold", "nan"
+    ],
+    "bench --c nan": ["bench", "--K-list", "10", "--c", "nan"],
+    "bench --c inf": ["bench", "--K-list", "10", "--c", "inf"],
+    "nonsparse --n -3": ["nonsparse", "--n", "-3"],
+    "nonsparse --mode fourier --n -3": ["nonsparse", "--mode", "fourier", "--n", "-3"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
 def test_malformed_counts_are_config_errors(case, tmp_path, capsys):
-    # a trial, check or thread count below 1, an empty list or a reversed
-    # range is refused before any work, never run as zero trials, serially
-    # or with the default sizes
+    # a trial, check or thread count below 1, an empty list, a reversed
+    # range, a size or load out of range or a threshold outside [0, 1] is
+    # refused before any work, never run as zero trials, serially, with the
+    # default sizes or as a run of failed trials
     config, threads_config = tmp_path / "zero.cfg", tmp_path / "threads.cfg"
+    bins_config = tmp_path / "bins.cfg"
     config.write_text("n=1000\nK=10\nc=3.5\ntrials=0\n")
     threads_config.write_text("n=1000\nK=10\nc=3.5\ntrials=1\nthreads=0\n")
-    argv = [arg.format(config=config, threads_config=threads_config) for arg in MALFORMED_COUNTS[case]]
+    bins_config.write_text("n=100\nK=5\nM=0\ntrials=1\n")
+    argv = [
+        arg.format(config=config, threads_config=threads_config, bins_config=bins_config)
+        for arg in MALFORMED_COUNTS[case]
+    ]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error"), captured.err
@@ -387,6 +409,31 @@ def test_decode_rejects_malformed_measurements_via_subprocess(tmp_path):
     )
     assert proc.returncode == 2
     assert "line 3" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _assert_refused_naming(path, err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and str(path) in lines[0] and "Traceback" not in err, err
+
+
+def test_decode_refuses_a_missing_or_directory_measurements_path(tmp_path, capsys):
+    for path in (tmp_path / "missing.meas", tmp_path):
+        argv = ["decode", "--measurements", str(path), "--bins", "3", "--d", "2", "--ens-seed", "1"]
+        assert main(argv) == 2
+        _assert_refused_naming(path, capsys.readouterr().err)
+
+
+def test_simulate_refuses_an_unwritable_out_path_before_any_trial(tmp_path, capsys, monkeypatch):
+    import phasecode.cli as cli
+
+    def no_trials(cfg):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_trials)
+    out = tmp_path / "missing_dir" / "x.csv"
+    argv = ["simulate", "--n", "100", "--K", "5", "--c", "3.5", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 2
+    _assert_refused_naming(out, capsys.readouterr().err)
 
 
 def test_bench_runs_small(tmp_path):

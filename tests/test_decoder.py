@@ -7,6 +7,8 @@ import pytest
 
 from helpers import (
     bin_measurements,
+    bin_sums,
+    class_sums,
     make_mergeable_case,
     make_resolvable_case,
     make_singleton_case,
@@ -17,7 +19,6 @@ import phasecode.decoder as dec
 from phasecode.core import ParameterError, RecoveryStatus, align_global_phase, generate_signal
 from phasecode.decoder import (
     ALGORITHMS,
-    BinState,
     ColorForest,
     decode_multicolor,
     decode_unicolor,
@@ -57,7 +58,7 @@ def test_forest_union_semantics():
     v1, v2 = forest.value(1), forest.value(2)
     assert abs(v2 / v1 - cmath.exp(1j * psi)) < 1e-12 or abs(v1 / v2 - cmath.exp(-1j * psi)) < 1e-12
     assert forest.find(1) == forest.find(2)
-    assert len(forest.members(forest.find(1))) == 2
+    assert len(forest.component_items(forest.find(1))) == 2
 
 
 def test_forest_members_tracking():
@@ -67,7 +68,7 @@ def test_forest_members_tracking():
     forest.union(1, 2, 0.1)
     forest.union(forest.find(1), 3, 0.2)
     root = forest.find(3)
-    assert sorted(forest.members(root)) == [1, 2, 3]
+    assert sorted(ell for ell, _ in forest.component_items(root)) == [1, 2, 3]
     assert len(forest.roots()) == 3
 
 
@@ -111,7 +112,7 @@ def test_singleton_detects_constructed_ball():
     params = ModulationParams(n=512, L=101)
     for _ in range(300):
         st, balls = make_singleton_case(rng, params, true_case=True)
-        got = process_singleton(st, params)
+        got = process_singleton(st.y, params)
         assert got is not None
         ell, mag = got
         assert ell == balls[0][0]
@@ -120,7 +121,7 @@ def test_singleton_detects_constructed_ball():
 
 def test_singleton_rejects_empty_bin():
     params = ModulationParams(n=512, L=101)
-    assert process_singleton(BinState(1, (0.0, 0.0, 0.0, 0.0), []), params) is None
+    assert process_singleton((0.0, 0.0, 0.0, 0.0), params) is None
 
 
 def test_singleton_rejects_two_ball_bins():
@@ -128,7 +129,7 @@ def test_singleton_rejects_two_ball_bins():
     params = ModulationParams(n=512, L=101)
     for _ in range(500):
         st, _ = make_singleton_case(rng, params, true_case=False)
-        assert process_singleton(st, params) is None
+        assert process_singleton(st.y, params) is None
 
 
 def test_singleton_fourier_mode_uses_membership():
@@ -141,8 +142,8 @@ def test_singleton_fourier_mode_uses_membership():
     for _ in range(200):
         ell = int(rng.integers(1, n + 1))
         v = random_value(rng)
-        st = BinState(1, bin_measurements(params, [(ell, v)]), [])
-        got = process_singleton(st, params, membership=lambda c, t=ell: c == t)
+        y = bin_measurements(params, [(ell, v)])
+        got = process_singleton(y, params, membership=lambda c, t=ell: c == t)
         if got is not None:
             assert got[0] == ell
             hits += 1
@@ -158,12 +159,13 @@ def test_mergeable_recovers_relative_phase():
     params = ModulationParams(n=512, L=77)
     for _ in range(300):
         st, forest, expected = make_mergeable_case(rng, params, true_case=True)
-        psi = process_mergeable(st, forest, params)
+        psi = process_mergeable(st.y, *class_sums(st, forest, params))
         assert psi is not None
         assert abs(cmath.exp(1j * (psi - expected)) - 1) < 1e-9
-        # after the merge all discovered balls share one component
-        roots = {forest.find(ell) for ell in st.discovered}
-        assert len(roots) == 1
+        # merged by psi, the two classes reproduce the bin
+        forest.union(forest.find(st.discovered[0]), forest.find(st.discovered[-1]), psi)
+        merged = bin_measurements(params, [(ell, forest.value(ell)) for ell in st.discovered])
+        assert max(abs(m - y) for m, y in zip(merged, st.y)) <= 1e-9 * max(st.y)
 
 
 def test_mergeable_rejects_hidden_ball():
@@ -171,7 +173,7 @@ def test_mergeable_rejects_hidden_ball():
     params = ModulationParams(n=512, L=77)
     for _ in range(500):
         st, forest, _ = make_mergeable_case(rng, params, true_case=False)
-        assert process_mergeable(st, forest, params) is None
+        assert process_mergeable(st.y, *class_sums(st, forest, params)) is None
 
 
 def test_mergeable_rejects_degenerate_class_sum():
@@ -180,13 +182,9 @@ def test_mergeable_rejects_degenerate_class_sum():
     g = lambda ell: cmath.exp(1j * params.omega * ell)
     v1 = 1.0 + 0.5j
     v2 = -v1 * g(10) / g(20)  # makes v1 g(10) + v2 g(20) = 0
-    forest = ColorForest()
-    forest.add_root(10, v1)
-    forest.add_member(20, v2, 10)
-    forest.add_root(30, 0.8 - 0.1j)
     true_balls = [(10, v1), (20, v2), (30, (0.8 - 0.1j) * cmath.exp(0.3j))]
-    st = BinState(1, bin_measurements(params, true_balls), [10, 20, 30])
-    assert process_mergeable(st, forest, params) is None
+    rs, bs = bin_sums(params, [(10, v1), (20, v2)]), bin_sums(params, [(30, 0.8 - 0.1j)])
+    assert process_mergeable(bin_measurements(params, true_balls), rs, bs) is None
 
 
 def test_mergeable_multi_ball_classes():
@@ -194,7 +192,7 @@ def test_mergeable_multi_ball_classes():
     params = ModulationParams(n=512, L=77)
     for _ in range(200):
         st, forest, expected = make_mergeable_case(rng, params, true_case=True, sizes=(2, 3))
-        psi = process_mergeable(st, forest, params)
+        psi = process_mergeable(st.y, *class_sums(st, forest, params))
         assert psi is not None
         assert abs(cmath.exp(1j * (psi - expected)) - 1) < 1e-9
 
@@ -208,7 +206,7 @@ def test_resolvable_recovers_single_unknown():
     params = ModulationParams(n=512, L=333)
     for _ in range(300):
         st, forest, knowns, unknowns = make_resolvable_case(rng, params, true_case=True)
-        got = process_resolvable(st, forest, params)
+        got = process_resolvable(st.y, st.discovered, forest, params)
         assert got is not None
         ell, value = got
         true_ell, true_val = unknowns[0]
@@ -221,7 +219,7 @@ def test_resolvable_rejects_two_unknowns():
     params = ModulationParams(n=512, L=333)
     for _ in range(500):
         st, forest, _, _ = make_resolvable_case(rng, params, true_case=False)
-        assert process_resolvable(st, forest, params) is None
+        assert process_resolvable(st.y, st.discovered, forest, params) is None
 
 
 def test_resolvable_guards_vanishing_cosine_sum():
@@ -236,12 +234,8 @@ def test_resolvable_guards_vanishing_cosine_sum():
     forest.add_root(100, v1)
     forest.add_member(200, v2, 100)
     unknown = (400, 0.9 + 1.1j)
-    st = BinState(
-        1,
-        bin_measurements(params, [(100, v1), (200, v2), unknown]),
-        [100, 200],
-    )
-    assert process_resolvable(st, forest, params) is None
+    y = bin_measurements(params, [(100, v1), (200, v2), unknown])
+    assert process_resolvable(y, [100, 200], forest, params) is None
 
 
 def test_resolvable_skips_already_colored_candidates():
@@ -250,7 +244,42 @@ def test_resolvable_skips_already_colored_candidates():
     st, forest, knowns, unknowns = make_resolvable_case(rng, params, true_case=True)
     # color the true unknown elsewhere first: the hypothesis is contradictory
     forest.add_root(unknowns[0][0], 1 + 1j)
-    assert process_resolvable(st, forest, params) is None
+    assert process_resolvable(st.y, st.discovered, forest, params) is None
+
+
+# ---------------------------------------------------------------------------
+# The scalar judges return verdicts; only the engine colors and merges
+# ---------------------------------------------------------------------------
+
+def _snapshot(forest):
+    """The ball count of ``forest`` and every class: its root, and its
+    members with their roots and value bits, in member order."""
+    return forest.ball_count, {
+        root: [(ell, forest.find(ell), _bits(v)) for ell, v in forest.component_items(root)]
+        for root in forest.roots()
+    }
+
+
+def test_scalar_judges_leave_the_forest_unchanged():
+    rng = np.random.default_rng(31)
+    params = ModulationParams(n=512, L=333)
+    verdicts = set()
+    for trial in range(40):
+        true_case = trial % 2 == 0
+        st, forest, _, _ = make_resolvable_case(rng, params, true_case)
+        before = _snapshot(forest)
+        sums = bin_sums(params, [(ell, forest.value(ell)) for ell in st.discovered])
+        status, _ = dec._resolvable_full(st.y, sums, params, forest._val, coeff_cache={})
+        verdicts.add(("resolvable", status == "resolved"))
+        single, _ = make_singleton_case(rng, params, true_case)
+        verdicts.add(("singleton", process_singleton(single.y, params) is not None))
+        assert _snapshot(forest) == before
+        st, forest, _ = make_mergeable_case(rng, params, true_case, sizes=(2, 1))
+        before = _snapshot(forest)
+        verdicts.add(("mergeable", process_mergeable(st.y, *class_sums(st, forest, params)) is not None))
+        assert _snapshot(forest) == before
+    # each judge both accepted and rejected
+    assert verdicts == {(judge, ok) for judge in ("resolvable", "singleton", "mergeable") for ok in (True, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +305,16 @@ def test_scalar_judges_agree_bytewise_with_no_cold_or_warm_cache(mode):
         )
         truth = {ell for ell, _ in unknowns}
         member = truth.__contains__
-        plain = dec._resolvable_full(st, forest, params, membership=member)
+
+        def judge(cache):
+            sums = dec._member_sums(st.discovered, forest._val, params, {} if cache is None else cache)
+            return dec._resolvable_full(st.y, sums, params, forest._val, member, cache)
+
+        plain = judge(None)
         cold: dict = {}
         warm = {ell: modulation_coeffs(params, ell) for ell, _ in knowns + unknowns}
-        assert repr(dec._resolvable_full(st, forest, params, membership=member, coeff_cache=cold)) == repr(plain)
-        assert repr(dec._resolvable_full(st, forest, params, membership=member, coeff_cache=warm)) == repr(plain)
+        assert repr(judge(cold)) == repr(plain)
+        assert repr(judge(warm)) == repr(plain)
         # the members' weights, and a candidate's only once it passes every test
         hits = {plain[1][0]} if plain[0] == "resolved" else set()
         assert cold.keys() <= {ell for ell, _ in knowns} | truth
@@ -615,8 +649,8 @@ def test_decoder_lookup_names_both_decoders_and_rejects_others():
 # ---------------------------------------------------------------------------
 
 def _reference_sums(mem, forest, params):
-    """A plain member-order re-sum through ``find`` and ``modulation_coeffs``,
-    which the sums the sweep hands to ``_resolvable_full`` must equal."""
+    """A plain member-order re-sum through ``value`` and ``modulation_coeffs``,
+    which the sums the engine hands its judges must equal."""
     a = b = c = dd = 0j
     for ell in mem:
         v = forest.value(ell)
@@ -661,23 +695,24 @@ def _cache_panel():
 
 def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
     checked = {"calls": 0, "merges": 0}
-    original_resolvable = dec._resolvable_full
+    engines = []
+    original_sums = dec._member_sums
     original_mergeable = dec.process_mergeable
 
-    def checked_resolvable(bin, forest, params, *args, sums=None, **kwargs):
-        assert sums is not None, "the sweep must hand its members' one-color sums over"
-        assert sums == _reference_sums(bin.discovered, forest, params)
+    def checked_sums(mem, val, params, coeff_cache):
+        sums = original_sums(mem, val, params, coeff_cache)
+        forest = engines[-1].forest
+        assert val is forest._val and sums == _reference_sums(mem, forest, params)
         checked["calls"] += 1
-        return original_resolvable(bin, forest, params, *args, sums=sums, **kwargs)
+        return sums
 
     def counted_mergeable(*args, **kwargs):
         psi = original_mergeable(*args, **kwargs)
         checked["merges"] += psi is not None
         return psi
 
-    monkeypatch.setattr(dec, "_resolvable_full", checked_resolvable)
+    monkeypatch.setattr(dec, "_member_sums", checked_sums)
     monkeypatch.setattr(dec, "process_mergeable", counted_mergeable)
-    engines = []
 
     class RecordingEngine(dec._Engine):
         def __init__(self, *args, **kwargs):
@@ -692,7 +727,7 @@ def test_engine_caches_equal_a_fresh_resum_and_bins_of(monkeypatch):
             engine = engines.pop()
             assert max(counting.calls.values()) == 1, (label, alg)  # one query per ball
             assert engine.bins == {ell: tuple(ens.bins_of(ell)) for ell in counting.calls}, (label, alg)
-            colored = {ell for root in engine.forest.roots() for ell in engine.forest.members(root)}
+            colored = {ell for root in engine.forest.roots() for ell, _ in engine.forest.component_items(root)}
             assert colored <= engine.bins.keys(), (label, alg)
     assert checked["calls"] > 1000
     assert checked["merges"] > 100  # multicolor merges, which re-root members
@@ -723,15 +758,23 @@ def test_a_decode_does_not_depend_on_when_roots_are_looked_up(monkeypatch):
 
     plain = [outcome(get_decoder(alg)(m, e, m.params, K_hint=K)) for m, e, K in cases for alg in ALGORITHMS]
     original = dec.process_mergeable
+    original_init = ColorForest.__init__
+    forests = []
     lookups = {"merges": 0}
 
-    def after_finding_every_root(bin, forest, *args, **kwargs):
+    def init(self):
+        original_init(self)
+        forests.append(self)
+
+    def after_finding_every_root(*args, **kwargs):
+        forest = forests[-1]  # the decode's current forest
         for root in forest.roots():
-            for ell in forest.members(root):
+            for ell, _ in forest.component_items(root):
                 forest.find(ell)
         lookups["merges"] += 1
-        return original(bin, forest, *args, **kwargs)
+        return original(*args, **kwargs)
 
+    monkeypatch.setattr(ColorForest, "__init__", init)
     monkeypatch.setattr(dec, "process_mergeable", after_finding_every_root)
     looked_up = [outcome(get_decoder(alg)(m, e, m.params, K_hint=K)) for m, e, K in cases for alg in ALGORITHMS]
     assert len(looked_up) == 80 and lookups["merges"] > 1000
@@ -747,7 +790,7 @@ def test_a_merge_revisits_the_bins_of_the_component_it_absorbed(monkeypatch):
     original_revisit = dec._Engine.revisit
 
     def union(self, root_a, root_b, psi):
-        tie = len(self.members(root_a)) == len(self.members(root_b))
+        tie = len(self.component_items(root_a)) == len(self.component_items(root_b))
         big, moved = original_union(self, root_a, root_b, psi)
         events.append(("union", tuple(moved), tie))
         return big, moved

@@ -302,13 +302,18 @@ def _sums(params, balls) -> np.ndarray:
     return (g * np.array([value for _, value in balls])).sum(axis=1)
 
 
-def _batch_resolvable(y, knowns, params):
+def _batch_resolvable(y, sums, colored, params):
     """``_judge_one_color`` on one bin: (exhausted, hit or None)."""
     exhausted, (_, ells, x, _, _), _ = dec._judge_one_color(
-        np.array([y]), _sums(params, knowns)[None], np.array([0]), params,
-        _EveryBallInBinOne, {ell for ell, _ in knowns},
+        np.array([y]), sums[None], np.array([0]), params, _EveryBallInBinOne, colored,
     )
     return bool(exhausted[0]), ((int(ells[0]), complex(x[0])) if len(ells) else None)
+
+
+def _scalar_resolvable(y, sums, colored, params):
+    """``_resolvable_full`` on the same bin: (exhausted, hit or None)."""
+    status, hit = dec._resolvable_full(y, sums.tolist(), params, colored)
+    return status == "exhausted", hit
 
 
 def _batch_mergeable(y, rs, bs):
@@ -321,7 +326,8 @@ ORACLE_CASES = 400  # per setting, judge and truth value
 
 
 def test_batch_judges_agree_with_the_oracles():
-    """The round engine's judges on criterion 6's bins, one bin per call.
+    """The round engine's judges on criterion 6's bins, one bin per call,
+    each handed the same measurements and member sums as the scalar judges.
     Where the resolvable oracle can search every index (n = 512 in both
     modes, and the odd n = 511 in Fourier mode), the batch judges disagree with the
     oracles no more often than the scalar processors do; at n = 1e10 every
@@ -343,11 +349,13 @@ def test_batch_judges_agree_with_the_oracles():
         accepts = {"resolvable": 0, "mergeable": 0}
         for i in range(ORACLE_CASES):
             for true_case in (True, False):
-                st, forest, knowns, unknowns = make_resolvable_case(rng, params, true_case, 1 + i % 3)
-                scalar = dec.process_resolvable(st, forest, params)
-                exhausted, batch = _batch_resolvable(st.y, knowns, params)
+                st, _, knowns, unknowns = make_resolvable_case(rng, params, true_case, 1 + i % 3)
+                sums, colored = _sums(params, knowns), {ell for ell, _ in knowns}
+                _, scalar = _scalar_resolvable(st.y, sums, colored, params)
+                exhausted, batch = _batch_resolvable(st.y, sums, colored, params)
                 assert not exhausted
-                assert _batch_resolvable(bin_measurements(params, knowns), knowns, params) == (True, None)
+                for judge in (_scalar_resolvable, _batch_resolvable):
+                    assert judge(bin_measurements(params, knowns), sums, colored, params) == (True, None)
                 accepts["resolvable"] += batch is not None
                 if batch is not None and (not true_case or batch[0] != unknowns[0][0]):
                     false_accepts += 1
@@ -364,14 +372,14 @@ def test_batch_judges_agree_with_the_oracles():
                         assert batch[0] == scalar[0]
                         assert abs(batch[1] - scalar[1]) <= 1e-9 * max(1.0, abs(scalar[1]))
 
-                st, forest, expected = make_mergeable_case(rng, params, true_case, (1 + i % 2, 1 + i // 2 % 2))
-                groups = {}
-                for ell in st.discovered:
-                    groups.setdefault(forest.find(ell), []).append(ell)
-                rs, bs = (_sums(params, [(ell, forest.value(ell)) for ell in mem]) for mem in groups.values())
+                sizes = (1 + i % 2, 1 + i // 2 % 2)
+                st, forest, expected = make_mergeable_case(rng, params, true_case, sizes)
+                # the helper lists the r class's members first
+                classes = st.discovered[: sizes[0]], st.discovered[sizes[0] :]
+                rs, bs = (_sums(params, [(ell, forest.value(ell)) for ell in mem]) for mem in classes)
                 ref = oracle_mergeable(st.y, rs, bs)
                 batch = _batch_mergeable(st.y, rs, bs)
-                scalar = dec.process_mergeable(st, forest, params)
+                scalar = dec.process_mergeable(st.y, rs.tolist(), bs.tolist())
                 accepts["mergeable"] += batch is not None
                 if batch is not None and (not true_case or abs(cmath.exp(1j * (batch - expected)) - 1.0) > 1e-6):
                     false_accepts += 1
