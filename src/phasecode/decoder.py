@@ -25,20 +25,25 @@ balls-and-bins at n = 1e10, K = 4000 over 2, both with d = 7; ranges over
 four runs for M <= 376 and two above):
 
     M        unicolor scalar / round    multicolor scalar / round
-    67          0.66-0.70 / 2.0-2.1        0.50-0.57 / 2.1-2.3
-    376         7.7-8.3   / 5.9-6.7        5.8-6.2   / 5.2-5.8
-    3320       55-60      / 23-24         36-38      / 22
-    14000     268-287     / 97-100          170      / 86-94
+    67          0.55-0.75 / 1.6-2.1        0.39-0.49 / 1.7-2.1
+    376         7.5-8.5   / 5.3-6.3        5.4-6.2   / 4.6-5.5
+    3320          58      / 20            38-55      / 17-25
+    14000     290-457     / 76-126          173      / 66-68
 
 A round's numpy calls, like the hand-over's, cost about the same whatever
-the code's size: at M = 67 the round engine spends 1.3 to 1.7 ms more per
-decode over 3.6 (unicolor) or 4.4 (multicolor) growth rounds, so rounds
-lose on the smallest codes and win from a few hundred bins on. The median
-of each decode's round / scalar time ratio is 2.9 (unicolor) and 4.0-4.1
-(multicolor) at M = 67 and 0.86-0.89 and 0.95 at M = 376, so both decoders
-cross over between those sizes. The constant sits above the crossover so that
-every code the reference panel and criterion 4 pin (M <= 376) keeps the
-scalar engine byte for byte; that, not speed, holds it at 1024. The scalar
+the code's size: at M = 67 the round engine spends 1.0 to 1.3 ms more per
+decode over 3.6 (unicolor) or 1.4 to 1.6 ms over 4.4 (multicolor) growth
+rounds, so rounds lose on the smallest codes and win from a few hundred
+bins on. The median of each decode's round / scalar time ratio is 2.7-2.8
+(unicolor) and 4.4 (multicolor) at M = 67 and 0.71-0.75 and 0.86-0.88 at
+M = 376, so both decoders cross over between those sizes. At n = 1e6,
+K = 1000, c = 2.75, a multicolor round that judges fewer than 300 bins
+takes a median 0.28 ms while one component is left and 0.49 ms while
+several are; ``tests/round_cost.py`` prints each decoder's rounds, its
+hand-over and a fit of round time against dirty bins. The constant sits
+above the crossover so that every code the reference panel and criterion 4
+pin (M <= 376) keeps the scalar engine byte for byte; that, not speed,
+holds it at 1024. The scalar
 engine and the scalar processors are also the reference the round engine
 is tested against.
 
@@ -64,16 +69,22 @@ ambiguous), not every index ever tried.
 
 The round engine runs the parallel rounds that density evolution models.
 Its state is numpy arrays: per ball its index, its value in the frame of its
-component's root, its root, its four weights and its bins; per bin its
-member table in discovery order. It takes the seeded components from the
-scalar engine's forest and computes their balls' weights and bins in one
-batch. A round
+component's root, its root's slot, its four weights and its bins; per
+component its size, at its root's slot; per bin its member table in
+discovery order. The hand-over lays the seeded forest out in slots straight
+from its member lists, components in ``roots()`` order and each one's
+members in order, and computes their balls' weights and bins in one batch.
+A round
 
 - takes every dirty bin that is not exhausted and judges it against the
-  state at the start of the round, in batches: the exhausted test, the
-  one-unknown quadratic and its ``acos`` candidates (four per root in
-  Fourier mode), their weights, the resynthesis, and membership through
-  ``bins_many``, for one-color bins; the cosine-law merge for two-color bins;
+  state at the start of the round, in batches. A bin holds one color when
+  its members' smallest and largest root agree and two when every member
+  holds one of those two (``minimum``/``maximum.reduceat``), and the class
+  sums of a two-color bin are taken over its own members only. One-color
+  bins get the exhausted test, the one-unknown quadratic and its ``acos``
+  candidates (four per root in Fourier mode), their weights, the
+  resynthesis, and membership through ``bins_many``; two-color bins the
+  cosine-law merge;
 - colors the resolved balls in bin order, each in its bin's component. A
   ball found through two bins keeps the lowest bin's value; a verdict whose
   bin received another ball earlier in the round waits for the next round.
@@ -86,12 +97,19 @@ batch. A round
   verdict whose cosine law is best conditioned (sin(gamma) times the class
   magnitudes) rather than the lowest bin cut the worst multicolor value
   error at n = 1e6, K = 1000, c = 2.75 from 6.5e-6 to 5.3e-7 over 200 seeds.
+  A loop over the round's accepted verdicts settles which merge absorbs
+  which root; ``_merge_chains`` then applies the rotations with gathers. A ball that several merges of the round move takes their factors
+  one at a time in merge order, each product written out as CPython's
+  complex product, so values and roots equal those of ``ColorForest.union``
+  applied merge by merge, bit for bit.
 
 The engine holds only state and scheduling. Its two judges are module-level
 functions of the bins they judge, ``_judge_one_color`` and
-``_judge_two_color``: each computes the margins of its bins (and the
-one-color judge their z) from their measurements, so that a test can run
-them one bin at a time against criterion 6's oracles.
+``_judge_two_color``. The two-color judge computes its bins' margins from
+their measurements; the one-color judge gathers its bins' margins,
+admissibility and z from ``_bin_terms``, which computes them once per decode
+for every bin. A test runs both one bin at a time against criterion 6's
+oracles.
 
 Both engines' judges take what a bin offers, its measurements and its
 members' sums (one set per color class), and return a verdict without
@@ -101,14 +119,14 @@ judges many. Each engine groups a bin's members by root, sums them, and
 applies the verdicts itself: it colors a resolved ball, or merges two
 classes and revisits the bins of the balls the merge rotated.
 
-Seeding stays scalar although it could be batched too: a prototype that
-batched it ran the n = 1e10, K = 4000 unicolor decode in ~75 ms when the
-scalar-seeded decode took ~160 ms (it takes about 90 ms now), but Unicolor
-grows from a small seed cluster in 8 to 12 rounds, so at K = 1000 the
-rounds' fixed cost was ~40% of the decode and criterion 5's
-K = 1000 -> 2000 time ratio fell to the floor of its band (median 1.62 over
-8 runs, 4 of them failing). With the scalar seeding the ratios sit where the
-scalar engine's did.
+Seeding stays scalar although it could be batched too, because of how the
+benchmark's memory reading couples to speed until its steps stop keeping
+every outcome (ROADMAP item 1a). A ``large-n`` run keeps each step's
+results, so its ``peak_rss_mb`` grows with ``trials_per_s``: about 0.49 MB
+per step over a floor of about 51 MB. A numpy singleton phase would take
+about 29 of the 32 ms per decode that the scalar one costs there, roughly
++37 % trials/s, and its peak RSS would rise past the +10 % the benchmark
+allows.
 
 ``_grow`` runs the growth phase on either engine, one ``round`` at a time
 (a sweep on the scalar engine), until a round changes nothing. That round
@@ -151,7 +169,7 @@ import cmath
 import itertools
 import math
 import operator
-from typing import Callable, Container, Optional, Sequence
+from typing import Callable, Container, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,6 +184,7 @@ from .measurement import (
     GENERAL,
     MeasurementSet,
     ModulationParams,
+    _check_weights,
     _coeffs_many,
     modulation_coeffs,
 )
@@ -222,6 +241,15 @@ class ColorForest:
 
     def component_items(self, root: int) -> list[tuple[int, complex]]:
         return [(ell, self.value(ell)) for ell in self._members[root]]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ball's index and value, components in ``roots()`` order and
+        each one's members in order (its root first), and each component's
+        size."""
+        comps = list(map(self._members.__getitem__, self.roots()))
+        ells = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int64, count=self.ball_count)
+        vals = np.fromiter(map(self._val.__getitem__, ells.tolist()), dtype=np.complex128, count=len(ells))
+        return ells, vals, np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
 
     # -- mutation -----------------------------------------------------------
 
@@ -332,6 +360,29 @@ def _padded(a: np.ndarray, size: int, axis: int) -> np.ndarray:
     out = np.zeros(shape, dtype=a.dtype)
     out[tuple(slice(0, k) for k in a.shape)] = a
     return out
+
+
+def _row_max(y: np.ndarray) -> np.ndarray:
+    """The largest of each bin's four measurements (``y.max(axis=1)`` is some
+    twenty times slower on rows of four)."""
+    return np.maximum(np.maximum(y[:, 0], y[:, 1]), np.maximum(y[:, 2], y[:, 3]))
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` entries starts."""
+    return np.cumsum(counts) - counts
+
+
+def _all4(mask: np.ndarray) -> np.ndarray:
+    """``mask.all(axis=-1)`` over a last axis of four, some five times faster."""
+    return mask[..., 0] & mask[..., 1] & mask[..., 2] & mask[..., 3]
+
+
+def _class_sums(rows: np.ndarray, in_r: np.ndarray, starts: np.ndarray):
+    """Per run of ``rows`` (the runs start at ``starts``), the sum of its
+    rows that ``in_r`` marks and the sum of the others, each in row order."""
+    in_r = in_r[:, None]
+    return np.add.reduceat(np.where(in_r, rows, 0), starts), np.add.reduceat(np.where(in_r, 0, rows), starts)
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
@@ -588,66 +639,98 @@ def _is_colored(colored: set[int], ells: np.ndarray) -> np.ndarray:
     return np.array([ell in colored for ell in ells.tolist()], dtype=bool)
 
 
-def _judge_one_color(y, sums, B, params: ModulationParams, ensemble, colored: set[int]):
-    """``_resolvable_full`` over the one-color bins ``B`` (0-based) of the
-    measurements ``y`` (a row of four per bin of the code), whose members
-    sum to ``sums`` (a row of four per bin of ``B``); no candidate in
-    ``colored`` is taken, and membership is ``ensemble.bins_many``. Returns
-    the exhausted mask over ``B``; per resolved bin its position in ``B``,
-    the new ball, its value, its weights and its bins; and the (bin, ball)
-    pairs of the hits that bins rejected as aliases of another hit."""
-    y = y[B]
+class _BinTerms(NamedTuple):
+    """What the one-color judge needs of a code's measurements alone, one
+    entry per bin: the measurements ``y`` (a row of four), their largest
+    ``scale``, the margin ``t``, whether they admit "members plus one
+    unknown", and the two z = (y1/y2) exp(+-i alpha0) of
+    ``_resolvable_full`` (a row per sign)."""
+
+    y: np.ndarray
+    scale: np.ndarray
+    t: np.ndarray
+    admissible: np.ndarray
+    z: np.ndarray
+
+
+def _bin_terms(y: np.ndarray) -> _BinTerms:
+    """The ``_BinTerms`` of the measurements ``y``, computed once per decode."""
     y1, y2, y3 = y[:, 0], y[:, 1], y[:, 2]
-    scale = y.max(axis=1)
+    scale = _row_max(y)
     t = DEFAULT_TOL * scale
-    mag = np.abs(sums)
-    exhausted = (np.abs(mag - y) <= t[:, None]).all(axis=1) & (scale > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         carg = (y3 * y3 - y1 * y1 - y2 * y2) / (2.0 * y1 * y2)
-        # the bins whose measurements admit "members plus one unknown"
-        p = np.flatnonzero((y1 > t) & (y2 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL) & (mag[:, 2] > t) & ~exhausted)
-        kk = (y3[p] / mag[p, 2]) ** 2
-        a, b, c = sums[p, 0], sums[p, 1], sums[p, 2]
-        # rows: the two z = (y1/y2) exp(+-i alpha0) of _resolvable_full
-        z = (y1[p] / y2[p]) * np.exp(1j * _SIGNS * np.arccos(carg[p].clip(-1.0, 1.0)))
-        qa, qb, qc = _one_unknown_quadratic(z, z * b - a, c, kk)
-        disc = qb * qb - 4.0 * qa * qc
-        ok = (qa > 0.0) & (disc >= -DEFAULT_TOL * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
-        # axes: sign, root of the quadratic (+sqrt first), bin
-        u = (-qb[:, None] + _SIGNS.T[:, :, None] * np.sqrt(np.maximum(disc, 0.0))[:, None]) / (2.0 * qa)[:, None]
-        ok = ok[:, None] & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-        cand = _locations(np.sqrt(u.clip(0.0, 1.0)), params)
-        cand[~ok] = 0
-        # per bin: sign, then root, then location, as in _resolvable_full
-        per_sign = 2 * cand.shape[-1]
-        cand = cand.transpose(2, 0, 1, 3).reshape(len(p), 2 * per_sign)
-        i, j = cand.nonzero()
-        ells = cand[i, j]
-        zc = z[j // per_sign, i]
+        admissible = (y1 > t) & (y2 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
+        e = np.exp(1j * np.arccos(carg.clip(-1.0, 1.0)))  # exp(-i alpha0) is its conjugate
+        z = (y1 / y2) * np.stack((e, e.conj()))
+    return _BinTerms(y, scale, t, admissible, z)
+
+
+def _one_unknown_candidates(z, a, b, c, kk, params: ModulationParams):
+    """The location candidates of "members plus one unknown" in the bins
+    whose members sum to ``a``, ``b`` and ``c`` in rows 1-3, with ``z`` and
+    ``kk`` as in ``_one_unknown_quadratic``: per candidate the position of
+    its bin, its index and its z, bin by bin, then by sign, root and
+    location, as in ``_resolvable_full``. A function of its own, so that its
+    intermediate arrays are gone before the candidates are tested."""
+    qa, qb, qc = _one_unknown_quadratic(z, z * b - a, c, kk)
+    disc = qb * qb - 4.0 * qa * qc
+    ok = (qa > 0.0) & (disc >= -DEFAULT_TOL * np.maximum(np.maximum(qb * qb, np.abs(4.0 * qa * qc)), 1e-300))
+    # axes: sign, root of the quadratic (+sqrt first), bin
+    u = (-qb[:, None] + _SIGNS.T[:, :, None] * np.sqrt(np.maximum(disc, 0.0))[:, None]) / (2.0 * qa)[:, None]
+    ok = ok[:, None] & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+    cand = _locations(np.sqrt(u.clip(0.0, 1.0)), params)
+    cand[~ok] = 0
+    per_sign = 2 * cand.shape[-1]
+    cand = cand.transpose(2, 0, 1, 3).reshape(len(kk), 2 * per_sign)
+    i, j = cand.nonzero()
+    return i, cand[i, j], z[j // per_sign, i]
+
+
+def _judge_one_color(terms: _BinTerms, sums, B, params: ModulationParams, ensemble, colored: set[int]):
+    """``_resolvable_full`` over the one-color bins ``B`` (0-based) of the
+    code whose measurements give ``terms``; the members of ``B`` sum to
+    ``sums`` (a row of four per bin of ``B``); no candidate in ``colored``
+    is taken, and membership is ``ensemble.bins_many``. Returns the
+    exhausted mask over ``B``; per resolved bin its position in ``B``, the
+    new ball, its value, its weights and its bins; and the (bin, ball)
+    pairs of the hits that bins rejected as aliases of another hit."""
+    y, t = terms.y.take(B, axis=0), terms.t[B]
+    mag = np.abs(sums)
+    exhausted = _all4(np.abs(mag - y) <= t[:, None]) & (terms.scale[B] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.flatnonzero(terms.admissible[B] & (mag[:, 2] > t) & ~exhausted)
+        kk = (y[:, 2][p] / mag[:, 2][p]) ** 2
+        a, b, c = sums.take(p, axis=0).T[:3]
+        i, ells, zc = _one_unknown_candidates(terms.z.take(B[p], axis=1), a, b, c, kk, params)
         # the three rows that need only g1 = exp(i omega ell) first, as in
         # _coeffs_many; the check row, the colored test and membership
-        # then run on the few candidates left
+        # then run on the few candidates left, and the weights of the hits
+        # are put together from g1 and the check weight g4
         g1 = np.exp(1j * (params.omega * ells))
         g2 = np.conj(g1)
         denom = g1 - zc * g2
         x = (zc * b[i] - a[i]) / denom
-        bi, ti = p[i], t[p[i]]
+        bi = p[i]
+        ti = t[bi]
         keep = (
             (np.abs(denom) > 1e-14)
-            & (np.abs(np.abs(sums[bi, 0] + g1 * x) - y[bi, 0]) <= ti)
-            & (np.abs(np.abs(sums[bi, 1] + g2 * x) - y[bi, 1]) <= ti)
-            & (np.abs(np.abs(sums[bi, 2] + 2.0 * g1.real * x) - y[bi, 2]) <= ti)
+            & (np.abs(np.abs(sums[:, 0][bi] + g1 * x) - y[:, 0][bi]) <= ti)
+            & (np.abs(np.abs(sums[:, 1][bi] + g2 * x) - y[:, 1][bi]) <= ti)
+            & (np.abs(np.abs(sums[:, 2][bi] + 2.0 * g1.real * x) - y[:, 2][bi]) <= ti)
         )
-    i, ells, x = i[keep], ells[keep], x[keep]
-    g = _coeffs_many(params, ells).T
+    i, ells, x, g1 = i[keep], ells[keep], x[keep], g1[keep]
+    g4 = _check_weights(params, ells)
     bi = p[i]
-    keep = ~_is_colored(colored, ells) & (np.abs(np.abs(sums[bi, 3] + g[:, 3] * x) - y[bi, 3]) <= t[bi])
-    i, ells, x, g = i[keep], ells[keep], x[keep], g[keep]
+    keep = np.abs(np.abs(sums[:, 3][bi] + g4 * x) - y[:, 3][bi]) <= t[bi]
+    keep[keep] = ~_is_colored(colored, ells[keep])
+    i, ells, x, g1, g4 = i[keep], ells[keep], x[keep], g1[keep], g4[keep]
     # membership is the costly filter; apply it last
     rows = ensemble.bins_many(ells)
     keep = (rows == B[p[i], None] + 1).any(axis=1)
-    i, ells, x, g, rows = i[keep], ells[keep], x[keep], g[keep], rows[keep]
-    hits = (p[i], ells, x, g, rows)
+    i, ells, x, g1, g4 = i[keep], ells[keep], x[keep], g1[keep], g4[keep]
+    rows = rows.take(np.flatnonzero(keep), axis=0)
+    hits = (p[i], ells, x, np.stack((g1, np.conj(g1), 2.0 * g1.real, g4), axis=1), rows)
     aliased = np.zeros(0, dtype=np.int64)
     if (i[1:] == i[:-1]).any():
         # exactly one hit per bin: every hit must repeat the bin's first one
@@ -666,37 +749,34 @@ def _judge_two_color(y: np.ndarray, rs: np.ndarray, bs: np.ndarray):
     """``process_mergeable`` over two-color bins with measurements ``y`` and
     class sums ``rs`` and ``bs`` (a row of four per bin each). Returns the
     accepted mask; psi, such that the b-class values times exp(i psi) are in
-    the r-class frame; and how well each psi is conditioned, sin(gamma)
+    the r-class frame (where the mask accepts); and how well each psi is conditioned, sin(gamma)
     times the two class magnitudes over y1**2 (the cosine law loses
     precision as gamma nears 0 or pi, or a class sum nears 0)."""
-    scale = y.max(axis=1)
+    scale = _row_max(y)
     t = DEFAULT_TOL * scale
     r1, b1 = np.abs(rs[:, 0]), np.abs(bs[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
         carg = (y[:, 0] * y[:, 0] - r1**2 - b1**2) / (2.0 * r1 * b1)
         ok = (scale > 0.0) & (r1 > t) & (b1 > t) & (np.abs(carg) <= 1.0 + DEFAULT_TOL)
     psi = _SIGNS * np.arccos(carg.clip(-1.0, 1.0)) + (np.angle(rs[:, 0]) - np.angle(bs[:, 0]))
-    synth = np.abs(rs + np.exp(1j * psi)[:, :, None] * bs)
-    passes = (np.abs(synth - y) <= t[:, None]).all(axis=2)
-    same = np.abs(np.exp(1j * (psi[1] - psi[0])) - 1.0) <= 1e-9
-    ok &= (passes[0] ^ passes[1]) | (passes[0] & passes[1] & same)
+    # the resynthesis, on the bins the cosine law admits
+    k = np.flatnonzero(ok)
+    synth = np.abs(rs.take(k, axis=0) + np.exp(1j * psi[:, k])[:, :, None] * bs.take(k, axis=0))
+    passes = _all4(np.abs(synth - y.take(k, axis=0)) <= t[k, None])
+    one_psi = passes[0] ^ passes[1]
+    both = np.flatnonzero(passes[0] & passes[1])
+    if len(both):  # two passing signs count as one psi when they name the same rotation
+        one_psi[both] = np.abs(np.exp(1j * (psi[1, k[both]] - psi[0, k[both]])) - 1.0) <= 1e-9
+    ok[k] = one_psi
+    second = k[~passes[0]]
+    psi[0, second] = psi[1, second]
     conditioning = np.sqrt(np.maximum(1.0 - carg * carg, 0.0)) * r1 * b1 / (y[:, 0] * y[:, 0])
-    return ok, np.where(passes[0], psi[0], psi[1]), conditioning
+    return ok, psi[0], conditioning
 
 
 # ---------------------------------------------------------------------------
 # Decode engine
 # ---------------------------------------------------------------------------
-
-def _largest(components: dict[int, list], index_of: Callable[[list], list[int]]):
-    """The root of the largest component, ties going to the one holding the
-    smallest ball index; None when nothing is colored."""
-    if not components:
-        return None
-    size = max(map(len, components.values()))
-    tied = [root for root, mem in components.items() if len(mem) == size]
-    return min(tied, key=lambda root: min(index_of(components[root])))
-
 
 def _result(engine, K_hint: int, sweeps: int) -> DecodeResult:
     """The decode's outcome on either engine, graded by one rule. A bin is
@@ -710,7 +790,7 @@ def _result(engine, K_hint: int, sweeps: int) -> DecodeResult:
     stats = engine.stats
     stats.sweeps = sweeps
     stats.resident_elements = engine.resident_elements()
-    scale = engine.y.max(axis=1, initial=0.0)
+    scale = np.maximum(_row_max(engine.y), 0.0)
     unexplained = (scale > DEFAULT_TOL * scale.max(initial=0.0)) & ~np.frombuffer(engine.exhausted, dtype=bool)
     stats.unexplained_bins = int(np.count_nonzero(unexplained | foreign))
     if stats.unexplained_bins == 0:
@@ -743,12 +823,12 @@ class _Engine:
         self.params = params
         self.M = meas.M
         # No Python container per bin or ball that the garbage collector has
-        # to keep tracking: the measurements as one flat list of floats, each
-        # bin's members and each cached ``bins_of`` answer as a tuple (tuples
-        # of ints leave the collector's books, lists stay). Lists living as
-        # long as the decode made large decodes set off full collections of
-        # the whole process's heap.
-        self.yflat: list[float] = meas.y.ravel().tolist()
+        # to keep tracking: the measurements, once a sweep reads them, as one
+        # flat list of floats (``yflat``), each bin's members and each cached
+        # ``bins_of`` answer as a tuple (tuples of ints leave the collector's
+        # books, lists stay). Lists living as long as the decode made large
+        # decodes set off full collections of the whole process's heap.
+        self.yflat: list[float] | None = None
         self.discovered: list[tuple[int, ...]] = [()] * self.M
         self.dirty = bytearray(self.M)
         self.exhausted = bytearray(self.M)
@@ -801,12 +881,11 @@ class _Engine:
         y1 = y[:, 0]
         margin = DEFAULT_TOL * y1
         candidate = (y1 > 0) & (np.abs(y1 - y[:, 1]) <= margin) & (np.abs(y1 - y[:, 3]) <= margin)
-        params, forest, stats, yflat = self.params, self.forest, self.stats, self.yflat
-        for b0 in np.flatnonzero(candidate).tolist():
+        params, forest, stats = self.params, self.forest, self.stats
+        visit = np.flatnonzero(candidate)
+        for b0, row in zip(visit.tolist(), y.take(visit, axis=0).tolist()):
             stats.processor_calls += 1
-            hit = process_singleton(
-                yflat[4 * b0 : 4 * b0 + 4], params, lambda ell, b=b0 + 1: b in self.bins_of(ell)
-            )
+            hit = process_singleton(row, params, lambda ell, b=b0 + 1: b in self.bins_of(ell))
             if hit is None:
                 continue
             ell, mag = hit
@@ -818,17 +897,16 @@ class _Engine:
     def phase_doubletons(self) -> None:
         """Unicolor step 2: merge across bins holding two singleton-found balls
         (only singletons are colored when this runs)."""
-        forest, params, cache, yflat = self.forest, self.params, self.coeff_cache, self.yflat
-        for b0 in range(self.M):
+        forest, params, cache = self.forest, self.params, self.coeff_cache
+        visit = [b0 for b0, mem in enumerate(self.discovered) if len(mem) == 2]
+        for b0, row in zip(visit, self.y.take(visit, axis=0).tolist()):
             mem = self.discovered[b0]
-            if len(mem) != 2:
-                continue
             root_a, root_b = forest.find(mem[0]), forest.find(mem[1])
             if root_a == root_b:
                 continue
             self.stats.processor_calls += 1
             psi = process_mergeable(
-                yflat[4 * b0 : 4 * b0 + 4],
+                row,
                 _member_sums(mem[:1], forest._val, params, cache),
                 _member_sums(mem[1:], forest._val, params, cache),
             )
@@ -836,7 +914,13 @@ class _Engine:
                 forest.union(root_a, root_b, psi)
 
     def largest_root(self) -> int | None:
-        return _largest(self.components, lambda mem: mem)
+        """The root of the largest component, ties going to the one holding
+        the smallest ball index; None when nothing is colored."""
+        comps = self.components
+        if not comps:
+            return None
+        size = max(map(len, comps.values()))
+        return min((root for root, mem in comps.items() if len(mem) == size), key=lambda root: min(comps[root]))
 
     def restrict_to_component(self, root: int) -> None:
         """Uncolor every ball outside ``root``'s component and forget its value.
@@ -858,6 +942,8 @@ class _Engine:
         """One sweep: an ascending pass over the dirty bins that sees what
         earlier bins of the same sweep colored. Returns whether anything
         changed."""
+        if self.yflat is None:  # built by the first sweep: the seeding phases read only the rows they visit
+            self.yflat = self.y.ravel().tolist()
         forest, params, cache, yflat = self.forest, self.params, self.coeff_cache, self.yflat
         root_of, val = forest._root, forest._val
         # color_ball and the merges update these in place
@@ -921,25 +1007,60 @@ class _Engine:
         return recovered, foreign
 
 
+def _rotated(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """v * e, computed as Python's complex product is: numpy's complex
+    multiply may fuse a multiply and an add, and differ in the last bit."""
+    out = np.empty(v.shape, dtype=np.complex128)
+    out.real = v.real * e.real - v.imag * e.imag
+    out.imag = v.real * e.imag + v.imag * e.real
+    return out
+
+
+def _merge_chains(val, root, count, absorbed, into, factors) -> np.ndarray:
+    """Apply a round's merges, in place, to the values ``val`` and root
+    slots ``root`` of balls 1..count-1: merge k moves the component of root
+    slot ``absorbed[k]`` into that of ``into[k]``, multiplying its values by
+    ``factors[k]``, as ``ColorForest.union`` does. A ball that several
+    merges move takes their factors one at a time, in merge order, and the
+    root of the last; each pass of the loop follows every moved ball one
+    merge further. Returns the slots of the moved balls."""
+    hop = np.full(count, -1, dtype=np.int64)  # per root slot, the merge that absorbed it
+    hop[absorbed] = np.arange(len(absorbed))
+    moved = np.flatnonzero(hop[root[1:count]] >= 0) + 1
+    slots, k = moved, hop[root[moved]]
+    while len(slots):
+        val[slots] = _rotated(val[slots], factors[k])
+        root[slots] = into[k]
+        k = hop[into[k]]  # a later merge of this round absorbed the new root
+        slots, k = slots[k >= 0], k[k >= 0]
+    return moved
+
+
 class _RoundEngine:
     """Round-synchronous peeling over numpy state; see the module docstring.
 
     Balls live in slots 1..count-1 of per-ball arrays: index, value in the
     frame of its component's root, root slot, the four modulation weights (a
     row per ball) and its bins; ``colored`` holds the colored indices.
-    Slot 0 is an all-zero sentinel that pads ``table``, the member slots of
-    each bin in discovery order (``load`` of them per bin). ``dirty`` marks
-    the bins the next round judges: bins with members, none exhausted."""
+    A component is named by its root slot, the slot of its root ball (after
+    a merge the larger side's, as in ``ColorForest``); ``size`` holds each
+    root slot's component size (0 elsewhere) and ``live`` counts the
+    components. Slot 0 is an all-zero sentinel that pads
+    ``table``, the member slots of each bin in discovery order (``load`` of
+    them per bin). ``dirty`` marks the bins the next round judges: bins with
+    members, none exhausted."""
 
     def __init__(self, seeded: _Engine):
         """Take over every component the scalar engine ``seeded`` kept from
-        its seeding; their balls' weights and bins come from the batch
-        queries ``_coeffs_many`` and ``bins_many``, and the seeding's
-        exhausted marks stand."""
+        its seeding, in slot order: components in the forest's ``roots()``
+        order, each one's members in order. Their balls' weights and bins
+        come from the batch queries ``_coeffs_many`` and ``bins_many``, and
+        the seeding's exhausted marks stand."""
         self.ensemble = seeded.ensemble
         self.params = seeded.params
         self.M = seeded.M
         self.y = seeded.y
+        self.terms = _bin_terms(seeded.y)
         self.stats = seeded.stats
         slots = self.M // 2 + 1  # room for M/2 balls before the first growth
         self.count = 1
@@ -948,21 +1069,20 @@ class _RoundEngine:
         self.val = np.zeros(slots, dtype=np.complex128)
         self.root = np.zeros(slots, dtype=np.int64)
         self.root[0] = -1
+        self.size = np.zeros(slots, dtype=np.int64)
         self.g = np.zeros((slots, 4), dtype=np.complex128)
         self.gv = np.zeros((slots, 4), dtype=np.complex128)  # g * value, per ball
         self.bins = np.zeros((slots, 0), dtype=np.int64)
-        self.components: dict[int, list[int]] = {}  # root slot -> member slots
         self.table = np.zeros((self.M, 8), dtype=np.int32)
         self.load = np.zeros(self.M, dtype=np.int64)
         self.dirty = np.zeros(self.M, dtype=bool)
         self.exhausted = np.zeros(self.M, dtype=bool)
-        comps = [seeded.forest.component_items(root) for root in seeded.forest.roots()]
-        ells = np.array([ell for comp in comps for ell, _ in comp], dtype=np.int64)
-        sizes = [len(comp) for comp in comps]
+        ells, vals, sizes = seeded.forest.arrays()
+        self.live = len(sizes)
         self.add_balls(
             ells,
-            np.array([value for comp in comps for _, value in comp], dtype=np.complex128),
-            np.repeat(np.cumsum([1] + sizes[:-1]), sizes),  # each component's first slot is its root
+            vals,
+            np.repeat(np.cumsum(sizes) - sizes + 1, sizes),  # each component's first slot is its root
             _coeffs_many(self.params, ells).T,
             self.ensemble.bins_many(ells),
         )
@@ -982,31 +1102,32 @@ class _RoundEngine:
         self.ell = _padded(self.ell, end, 0)
         self.val = _padded(self.val, end, 0)
         self.root = _padded(self.root, end, 0)
+        self.size = _padded(self.size, end, 0)
         self.g = _padded(self.g, end, 0)
         self.gv = _padded(self.gv, end, 0)
         self.bins = _padded(_padded(self.bins, end, 0), bins.shape[1], 1)
-        slots = np.arange(start, end)
         self.ell[start:end] = ells
         self.val[start:end] = vals
         self.root[start:end] = roots
+        self.size += np.bincount(roots, minlength=len(self.size))
         self.g[start:end] = g
         self.gv[start:end] = g * self.val[start:end, None]
         self.bins[start:end, : bins.shape[1]] = bins
         self.count = end
         self.colored.update(ells.tolist())
-        for r, slot in zip(roots.tolist(), slots.tolist()):
-            self.components.setdefault(r, []).append(slot)
         # enter each ball in its bins, after the members already there
         flat = bins.ravel()
         entered = flat > 0
         b0 = flat[entered] - 1
-        owner = np.repeat(slots, bins.shape[1])[entered]
+        owner = np.repeat(np.arange(start, end), bins.shape[1])[entered]
         count = np.bincount(b0, minlength=self.M)
         pos = self.load[b0]
         if count.max(initial=0) > 1:  # balls of the batch share a bin: rank them in it
-            order = np.argsort(b0, kind="stable")
-            b0, owner = b0[order], owner[order]
-            pos = self.load[b0] + np.arange(len(b0)) - b0.searchsorted(b0)
+            # by bin, then in batch order: a plain sort of unique keys beats
+            # a stable argsort of the bins many times over
+            b0, entry = np.divmod(np.sort(b0 * len(b0) + np.arange(len(b0))), len(b0))
+            owner = owner[entry]
+            pos = self.load[b0] + np.arange(len(b0)) - (np.cumsum(count) - count)[b0]
         self.table = _padded(self.table, int(pos.max(initial=-1)) + 1, 1)
         self.table[b0, pos] = owner
         self.load += count
@@ -1017,48 +1138,53 @@ class _RoundEngine:
 
     def round(self) -> bool:
         """One round: every dirty bin judged against the state at its start,
-        then the verdicts applied. Returns whether anything changed. While
-        the engine holds one component no bin can hold two colors, so the
-        round does not look for them."""
+        then the verdicts applied. Returns whether anything changed. A bin
+        holds one color when its members' smallest and largest root agree,
+        and two when every member holds one of those two roots. While the
+        engine holds one component no bin can hold two colors, so the round
+        does not look for them."""
         B = np.flatnonzero(self.dirty)
-        self.dirty[B] = False
-        slots = self.table[B, : self.load[B].max(initial=0)]
-        at, col = slots.nonzero()  # bin-major, members in discovery order
-        members = slots[at, col]
-        starts = np.flatnonzero(col == 0)
-        contrib = self.gv[members]
+        self.dirty[:] = False
+        counts = self.load[B]
+        members = self.table.take(B, axis=0)
+        members = members[members > 0]  # bin-major, in discovery order
+        at = np.repeat(np.arange(len(B)), counts)
+        starts = _starts(counts)
         roots = self.root[members]
         first = roots[starts]
-        one, two = np.ones(len(B), dtype=bool), np.zeros(len(B), dtype=bool)
-        if len(self.components) > 1:
-            in_first = roots == first[at]
-            second = np.full(len(B), -1, dtype=np.int64)
-            np.maximum.at(second, at, np.where(in_first, -1, roots))
-            one = second < 0
+        if self.live == 1:
+            R, T = np.arange(len(B)), np.zeros(0, dtype=np.int64)
+        else:
+            low, high = np.minimum.reduceat(roots, starts), np.maximum.reduceat(roots, starts)
+            one = low == high
             two = ~one
-            two[at[~in_first & (roots != second[at])]] = False  # three or more colors
-        self.stats.processor_calls += int(one.sum() + two.sum())
+            two[at[(roots != low[at]) & (roots != high[at])]] = False  # three or more colors
+            R, T = np.flatnonzero(one), np.flatnonzero(two)
+        self.stats.processor_calls += len(R) + len(T)
         changed = False
         joined = np.zeros(self.M, dtype=bool)
-        if one.any():
-            R = np.flatnonzero(one)
-            sums = np.add.reduceat(contrib, starts)[R]
-            verdicts = _judge_one_color(self.y, sums, B[R], self.params, self.ensemble, self.colored)
+        if len(R):
+            picked = members if len(R) == len(B) else members[one[at]]  # of one-color bins only
+            sums = np.add.reduceat(self.gv.take(picked, axis=0), _starts(counts[R]))
+            verdicts = _judge_one_color(self.terms, sums, B[R], self.params, self.ensemble, self.colored)
             exhausted, (pos, ells, x, g, rows), (alias_bins, aliases) = verdicts
             self.exhausted[B[R[exhausted]]] = True
             changed = self._color(B[R[pos]], ells, x, first[R[pos]], g, rows, joined)
             # colored candidates are skipped, so coloring an alias can settle its bin
             self.dirty[alias_bins[_is_colored(self.colored, aliases)]] = True
-        if two.any():
-            T = np.flatnonzero(two)
-            rs = np.add.reduceat(np.where(in_first[:, None], contrib, 0), starts)[T]
-            bs = np.add.reduceat(np.where(in_first[:, None], 0, contrib), starts)[T]
-            ok, psi, conditioning = _judge_two_color(self.y[B[T]], rs, bs)
+        if len(T):
+            # class sums over the members of two-color bins only; the r
+            # class holds the bin's first member
+            keep = two[at]
+            in_r = roots[keep] == first[at[keep]]
+            rs, bs = _class_sums(self.gv.take(members[keep], axis=0), in_r, _starts(counts[T]))
+            ok, psi, conditioning = _judge_two_color(self.y.take(B[T], axis=0), rs, bs)
             # best-conditioned verdicts first: a pair of components that
             # several bins would merge takes the most precise rotation
             order = np.flatnonzero(ok)[np.argsort(-conditioning[ok], kind="stable")]
             T = T[order]
-            changed |= self._union(B[T], first[T], second[T], psi[order], joined)
+            second = low[T] + high[T] - first[T]  # the b class's root: the other of the two
+            changed |= self._union(B[T], first[T], second, psi[order], joined)
         return changed
 
     def _color(self, bins0, ells, x, roots, g, rows, joined) -> bool:
@@ -1067,58 +1193,60 @@ class _RoundEngine:
         this round joins waits for the next round. A resolving bin that no
         other ball of the round joins is exhausted."""
         keep = _first_occurrences(ells)
-        if (np.bincount(rows[keep].ravel(), minlength=self.M + 1)[bins0[keep] + 1] > 1).any():
+        kept_rows = rows.take(keep, axis=0)
+        joins = np.bincount(kept_rows.ravel(), minlength=self.M + 1)[bins0[keep] + 1]
+        if (joins > 1).any():
             touched: set[int] = set()
             kept = []
-            for k, b, row in zip(keep.tolist(), bins0[keep].tolist(), rows[keep].tolist()):
+            for k, b, row in zip(keep.tolist(), bins0[keep].tolist(), kept_rows.tolist()):
                 if b + 1 not in touched:
                     kept.append(k)
                     touched.update(row)
             keep = np.array(kept, dtype=np.int64)
+            kept_rows = rows.take(keep, axis=0)
+            joins = np.bincount(kept_rows.ravel(), minlength=self.M + 1)[bins0[keep] + 1]
         if not len(keep):
             return False
-        self.add_balls(ells[keep], x[keep], roots[keep], g[keep], rows[keep])
-        joined[rows[keep][rows[keep] > 0] - 1] = True
-        settled = bins0[keep][np.bincount(rows[keep].ravel(), minlength=self.M + 1)[bins0[keep] + 1] == 1]
+        self.add_balls(ells[keep], x[keep], roots[keep], g.take(keep, axis=0), kept_rows)
+        joined[kept_rows[kept_rows > 0] - 1] = True
+        settled = bins0[keep][joins == 1]
         self.exhausted[settled] = True
         self.dirty[settled] = False
         return True
 
     def _union(self, bins0, roots_r, roots_b, psi, joined) -> bool:
-        """Apply accepted merges in the given order, rotating the smaller
-        component eagerly. A merge whose bin a ball joined this round, or one
-        of whose roots an earlier merge of this round absorbed, waits for the
-        next."""
-        comp = self.components
-        moved, factors, targets, merged, waiting = [], [], [], [], []
-        for b, r, q, angle in zip(bins0.tolist(), roots_r.tolist(), roots_b.tolist(), psi.tolist()):
-            if joined[b] or r not in comp or q not in comp:
-                waiting.append(b)
-                continue
-            if len(comp[r]) >= len(comp[q]):
-                big, small, rot = r, q, angle
-            else:
-                big, small, rot = q, r, -angle
-            members = comp.pop(small)
-            comp[big].extend(members)
-            moved.append(members)
-            factors.append(cmath.exp(1j * rot))
-            targets.append(big)
-            merged.append(b)
-        self.dirty[waiting] = True
-        if not merged:
+        """Apply accepted merges in the given order: the smaller component
+        (``roots_b``'s on a tie) moves into the larger one's frame, as
+        ``ColorForest.union`` moves it. A merge whose bin a ball joined this
+        round, or one of whose roots an earlier merge of this round
+        absorbed, waits for the next. The loop over the merges settles which
+        merge absorbs which root, and at which rotation; ``_merge_chains``
+        applies the rotations with gathers."""
+        ready = np.flatnonzero(~joined[bins0])
+        r, q = roots_r[ready], roots_b[ready]
+        involved = np.concatenate((r, q)).tolist()
+        size = dict(zip(involved, self.size[involved].tolist()))  # 0 once absorbed
+        taken, absorbed, into, factors = [], [], [], []
+        for k, a, b, angle in zip(ready.tolist(), r.tolist(), q.tolist(), psi[ready].tolist()):
+            size_a, size_b = size[a], size[b]
+            if size_a and size_b:
+                big, small, rot = (a, b, angle) if size_a >= size_b else (b, a, -angle)
+                size[big], size[small] = size_a + size_b, 0
+                taken.append(k)
+                absorbed.append(small)
+                into.append(big)
+                factors.append(cmath.exp(1j * rot))
+        waiting = np.ones(len(bins0), dtype=bool)
+        waiting[taken] = False
+        self.dirty[bins0[waiting]] = True
+        if not taken:
             return False
-        self.exhausted[merged] = True
-        # the rotations, in merge order: a ball moved twice takes both, and
-        # the root of its last move
-        sizes = [len(members) for members in moved]
-        slots = np.fromiter(itertools.chain.from_iterable(moved), dtype=np.int64, count=sum(sizes))
-        np.multiply.at(self.val, slots, np.repeat(factors, sizes))
-        last = np.zeros(self.count, dtype=np.int64)
-        np.maximum.at(last, slots, np.arange(len(slots)))
-        self.root[slots] = np.repeat(targets, sizes)[last[slots]]
-        self.gv[slots] = self.g[slots] * self.val[slots, None]
-        rows = self.bins[slots].ravel()
+        self.exhausted[bins0[taken]] = True
+        self.size[list(size)] = list(size.values())
+        self.live -= len(taken)
+        moved = _merge_chains(self.val, self.root, self.count, absorbed, np.array(into), np.array(factors))
+        self.gv[moved] = self.g.take(moved, axis=0) * self.val[moved][:, None]
+        rows = self.bins.take(moved, axis=0).ravel()
         rows = rows[rows > 0] - 1
         self.dirty[rows[~self.exhausted[rows]]] = True  # their values rotated: revisit their bins
         return True
@@ -1126,24 +1254,28 @@ class _RoundEngine:
     # -- results --------------------------------------------------------------
 
     def resident_elements(self) -> int:
-        """Live entries only: 5 per bin (measurements and flags), one per
-        member-table entry, and per ball its index, value, root, component
-        and colored-set entries, four weights, four weighted values and one
-        per bin it occupies."""
+        """Live entries only: 10 per bin (measurements, flags and the five
+        ``_bin_terms`` entries), one per member-table entry, per ball its
+        index, value, root and colored-set entries, four weights, four
+        weighted values and one per bin it occupies, and one size per
+        component."""
         return (
-            5 * self.M
+            10 * self.M
             + int(self.load.sum())
-            + 13 * self.ball_count
+            + 12 * self.ball_count
+            + self.live
             + int(np.count_nonzero(self.bins[1 : self.count]))
         )
 
     def reported(self) -> tuple[list, np.ndarray]:
         """As ``_Engine.reported``; the engine always holds a component,
         since the seeding hands it over only when a ball is colored."""
-        root = _largest(self.components, lambda mem: self.ell[mem])
-        mem = np.array(self.components[root])
-        mem = mem[np.argsort(self.ell[mem])]
-        rows = self.bins[1 : self.count][self.root[1 : self.count] != root].ravel()
+        roots, ells = self.root[1 : self.count], self.ell[1 : self.count]
+        largest = self.size[roots] == self.size.max()
+        root = roots[largest][np.argmin(ells[largest])]  # ties: the smallest ball index
+        mem = np.flatnonzero(roots == root)
+        mem = mem[np.argsort(ells[mem])] + 1
+        rows = self.bins[1 : self.count][roots != root].ravel()
         foreign = np.zeros(self.M, dtype=bool)
         foreign[rows[rows > 0] - 1] = True
         return list(zip(self.ell[mem].tolist(), self.val[mem].tolist())), foreign

@@ -125,10 +125,16 @@ def _coeffs_many(params: ModulationParams, ells: list[int]) -> np.ndarray:
     g[0] = np.exp(1j * w)
     g[1] = np.conj(g[0])
     g[2] = 2.0 * g[0].real
-    # the check phase, reduced mod n in exact integer arithmetic (see check_phase)
-    residues = _mulmod(params.L, ells, params.n).astype(np.float64)
-    g[3] = np.exp(1j * (2.0 * math.pi * residues / params.n))
+    g[3] = _check_weights(params, ells)
     return g
+
+
+def _check_weights(params: ModulationParams, ells) -> np.ndarray:
+    """The check weight g4 of every ball in ``ells``, as ``_coeffs_many``
+    computes it: the check phase is reduced mod n in exact integer
+    arithmetic (see ``check_phase``)."""
+    residues = _mulmod(params.L, ells, params.n).astype(np.float64)
+    return np.exp(1j * (2.0 * math.pi * residues / params.n))
 
 
 def _mulmod(L: int, ells, n: int) -> np.ndarray:

@@ -445,7 +445,7 @@ def test_bench_runs_small(tmp_path):
 
 def test_bench_state_at_n_1e10():
     rows = run_bench(n=10_000_000_000, K_list=[300, 600], trials=2, seed=11)
-    assert [(r.resident_elements, r.fraction_recovered) for r in rows] == [(13350, 1.0), (26700, 1.0)]
+    assert [(r.resident_elements, r.fraction_recovered) for r in rows] == [(18301, 1.0), (36601, 1.0)]
 
 
 def test_bench_trivial_sparsity_is_instant():

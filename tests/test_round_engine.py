@@ -39,12 +39,22 @@ VALUE_TOL = 1e-6
 
 
 class _CheckedHandOver(dec._RoundEngine):
-    """The round engine, checking each hand-over: the seeded balls' rows of
+    """The round engine, checking each hand-over: the slots hold the
+    forest's components in ``roots()`` order, each one's members in order,
+    with their values, root slots and sizes; and the seeded balls' rows of
     ``g`` and ``bins`` equal ``modulation_coeffs`` and ``bins_of`` (zero
     padded to the table's width) bit for bit."""
 
     def __init__(self, seeded):
         super().__init__(seeded)
+        forest, slot, items = seeded.forest, 1, []
+        for root in forest.roots():
+            comp = forest.component_items(root)
+            assert self.size[slot] == len(comp)
+            items += [(ell, value, slot) for ell, value in comp]
+            slot += len(comp)
+        assert items == list(zip(*(a[1 : self.count].tolist() for a in (self.ell, self.val, self.root))))
+        assert self.live == len(forest.roots()) == np.count_nonzero(self.size)
         ells = self.ell[1 : self.count].tolist()
         width = self.bins.shape[1]
         g = np.array([modulation_coeffs(self.params, ell) for ell in ells], dtype=np.complex128)
@@ -218,9 +228,10 @@ def test_unicolor_grows_a_single_component(min_bins, decode, monkeypatch):
     exactly one and no two-color bin can arise; the growth phase needs no
     merge switch. Multicolor's first round on the same input holds many."""
     held = []
-    for engine in (dec._Engine, _CheckedHandOver):
-        def counting_round(self, round=engine.round):
-            held.append(len(self.components))
+    components = {dec._Engine: lambda engine: len(engine.components), _CheckedHandOver: lambda engine: engine.live}
+    for engine, count in components.items():
+        def counting_round(self, round=engine.round, count=count):
+            held.append(count(self))
             return round(self)
 
         monkeypatch.setattr(engine, "round", counting_round)
@@ -260,12 +271,70 @@ def test_round_engine_gives_no_confident_wrong_answer_at_n_1e12(decode):
 
 
 def test_round_engine_counts_live_state_only():
-    # per bin 5, per ball 13 plus its d bins and its d member-table entries
+    # per bin 10, per ball 12 plus its d bins and its d member-table
+    # entries, and one size for the one component a FullRecovery holds
     sig, meas, ens = _large_case()
     for alg in dec.ALGORITHMS:
         res = dec.get_decoder(alg)(meas, ens, meas.params, K_hint=400)
         assert res.status is FULL
-        assert res.stats.resident_elements == 5 * ens.M + (13 + 2 * ens.d) * 400
+        assert res.stats.resident_elements == 10 * ens.M + (12 + 2 * ens.d) * 400 + 1
+
+
+def _handed_over(sizes):
+    """A round engine handed components of ``sizes`` balls (balls 1, 2, ...
+    in order, random values), and the scalar engine's forest it took them
+    from; the component of ``sizes[k]`` sits at root slot 1 + sum(sizes[:k])."""
+    ens = build_balls_and_bins(1000, 60, 3, 5)
+    seeded = dec._Engine(encode(generate_signal(1000, 5, 6), ens, ModulationParams.draw(1000, 7)), ens)
+    rng = np.random.default_rng(8)
+    ell = 1
+    for size in sizes:
+        root = None
+        for _ in range(size):
+            seeded.color_ball(ell, random_value(rng), root)
+            root, ell = root or ell, ell + 1
+    return dec._RoundEngine(seeded), seeded.forest
+
+
+def test_merge_step_replays_color_forest_unions():
+    """``_union`` applies a round's merges with gathers; ``ColorForest.union``
+    applied merge by merge to the accepted ones must give the same values and
+    roots bit for bit. The list holds a chain (A absorbs B, then C absorbs A,
+    so B's balls take e1, then e2), a merge that waits because an earlier
+    one absorbed its root, one that waits because a ball joined its bin, a
+    second merge of a merged pair, and a merge whose r class is the smaller
+    one, which moves into the b class's frame at -psi."""
+    engine, forest = _handed_over([2, 1, 4, 1, 1, 3])
+    A, B, C, D, E, F = 1, 3, 4, 8, 9, 10
+    merges = [  # (bin, r root slot, b root slot, psi), in merge order
+        (5, A, B, 0.3),  # A (2 balls) absorbs B (1)
+        (6, C, A, -1.1),  # C (4) absorbs A (3), B's ball with it
+        (7, B, D, 0.7),  # waits: merge 0 absorbed B
+        (8, D, E, 2.0),  # waits: a ball joined bin 8
+        (9, E, D, 0.4),  # a tie: E keeps its frame
+        (10, D, E, 1.5),  # waits: merge 4 absorbed D
+        (11, F, C, 0.9),  # C (7) absorbs F (3) at -0.9
+    ]
+    accepted, waiting = [0, 1, 4, 6], [2, 3, 5]
+    bins0, roots_r, roots_b, psi = (np.array(column) for column in zip(*merges))
+    joined = np.zeros(engine.M, dtype=bool)
+    joined[8] = True
+    v = complex(engine.val[B])
+    assert engine._union(bins0, roots_r, roots_b, psi, joined)
+    for k in accepted:
+        _, r, b, angle = merges[k]
+        forest.union(int(engine.ell[r]), int(engine.ell[b]), angle)
+    slots = range(1, engine.count)
+    assert [(forest.find(ell), forest.value(ell)) for ell in engine.ell[slots].tolist()] == [
+        (int(engine.ell[engine.root[s]]), complex(engine.val[s])) for s in slots
+    ]
+    assert engine.val[slots].tobytes() == np.array([forest.value(int(engine.ell[s])) for s in slots]).tobytes()
+    assert complex(engine.val[B]) == v * cmath.exp(0.3j) * cmath.exp(-1.1j)
+    assert engine.live == len(forest.roots()) == 2
+    assert {int(engine.ell[s]): int(engine.size[s]) for s in np.flatnonzero(engine.size)} == {
+        root: len(forest.component_items(root)) for root in forest.roots()
+    }
+    assert engine.exhausted[bins0[accepted]].all() and engine.dirty[bins0[waiting]].all()
 
 
 def test_public_decoders_pick_the_engine_by_code_size(monkeypatch):
@@ -305,7 +374,7 @@ def _sums(params, balls) -> np.ndarray:
 def _batch_resolvable(y, sums, colored, params):
     """``_judge_one_color`` on one bin: (exhausted, hit or None)."""
     exhausted, (_, ells, x, _, _), _ = dec._judge_one_color(
-        np.array([y]), sums[None], np.array([0]), params, _EveryBallInBinOne, colored,
+        dec._bin_terms(np.array([y])), sums[None], np.array([0]), params, _EveryBallInBinOne, colored,
     )
     return bool(exhausted[0]), ((int(ells[0]), complex(x[0])) if len(ells) else None)
 
